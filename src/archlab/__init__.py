@@ -6,7 +6,6 @@ a Weibull maximum-likelihood fitting pipeline.
 from .distributions import (EPS_SURVIVAL, Exponential,
                             ProcessingTimeDistribution, Uniform, Weibull,
                             parse_spec)
-from .kernels import BACKEND as KERNEL_BACKEND
 from .mc import (DEFAULT_SEED, RngState, Theorem1Result, TrialRecord, Trials,
                  empirical_dependence, run_theorem1_mc, sample_iid,
                  simulate_parallel, simulate_serial)
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EPS_SURVIVAL", "Exponential", "ProcessingTimeDistribution", "Uniform",
-    "Weibull", "parse_spec", "KERNEL_BACKEND", "DEFAULT_SEED", "RngState",
+    "Weibull", "parse_spec", "DEFAULT_SEED", "RngState",
     "Theorem1Result", "TrialRecord", "Trials", "empirical_dependence",
     "run_theorem1_mc", "sample_iid", "simulate_parallel", "simulate_serial",
     "Axis", "GridResult", "GridSpec", "QuadratureConfig", "classify_sign",

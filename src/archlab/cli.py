@@ -24,7 +24,8 @@ from . import mc, recall, verify
 from .distributions import (ProcessingTimeDistribution, Uniform,
                             Weibull, parse_spec)
 from .errors import ArchlabError, DistSpecError, UsageError
-from .numerics import Axis, GridSpec, convolve_cdf, fmt17, grid_eval
+from .numerics import (Axis, GridSpec, convolve_cdf, fmt17, grid_eval,
+                       grid_eval_rows)
 from .parallel import ParallelTwoModel, stage_survival_gap, stage_survival_grid
 from .serial import SerialTwoModel, dependence_profile, expression3
 
@@ -82,7 +83,8 @@ def _build_parser() -> _Parser:
     fig.add_argument("--v", type=float, default=2.0,
                      help="uniform upper bound (fig7; default 2)")
     fig.add_argument("--steps", type=int, default=100)
-    fig.add_argument("--workers", type=int, default=1)
+    fig.add_argument("--workers", type=int, default=1,
+                     help="threads for the per-cell fig6/fig7 grids")
     fig.add_argument("--out", default=None)
     fig.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -157,11 +159,11 @@ def _cmd_figure(args) -> int:
         grid = GridSpec(axes=(Axis("u", 0.5, 10.0, steps),
                               Axis("tau", 0.01, 5.0, steps)))
 
-        def cell(u: float, tau: float) -> float:
+        def row(u: float, taus: np.ndarray) -> np.ndarray:
             dist = Weibull(k, u)
-            return expression3(float(dist.cdf(tau)), convolve_cdf(dist, tau))
+            return expression3(dist.cdf(taus), convolve_cdf(dist, taus))
 
-        result = grid_eval(cell, grid, workers=args.workers)
+        result = grid_eval_rows(row, grid)
     else:
         if args.id == "fig6":
             k = args.k if args.k is not None else _FIG_DEFAULT_K["fig6"]

@@ -9,6 +9,12 @@ is computed in the equivalent split form
 never evaluated near the origin (where the Weibull density with k < 1
 diverges).  Closed forms are used for the exponential and uniform families
 unless the numerical path is explicitly requested for cross-checking.
+
+Every numerical integral, the convolution over a whole array of tau values
+included, goes through one adaptive Gauss-Kronrod G7/K15 rule
+(:func:`_gauss_kronrod`): each panel of every cell is evaluated at once,
+|K15 - G7| is the panel's error estimate, and only panels whose estimate
+exceeds their share of the tolerance are bisected.
 """
 
 from __future__ import annotations
@@ -21,8 +27,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import kernels
-from .distributions import Exponential, ProcessingTimeDistribution, Uniform
+from .distributions import (Exponential, ProcessingTimeDistribution, Uniform,
+                            Weibull)
 from .errors import DomainError, GridEvalError, QuadratureConvergenceError
 
 #: Absolute tolerance under which a computed difference counts as zero when
@@ -49,10 +55,14 @@ def fmt17(x: float) -> str:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Adaptive-Simpson settings.
+    """Settings of the adaptive Gauss-Kronrod G7/K15 rule.
 
-    ``breakpoints`` are abscissae at which the integrand may kink or jump;
-    the integration interval is split there before any refinement.
+    ``abs_tol`` bounds the estimated absolute error of each integral (of
+    each cell, for an array of tau values).  ``max_depth`` is the number
+    of times a panel may be bisected: a panel ``max_depth`` halvings below
+    its starting segment that still misses its tolerance share fails the
+    cell.  ``breakpoints`` are abscissae at which the integrand may kink or
+    jump; the integration interval is split there before any refinement.
     """
 
     abs_tol: float = 1e-8
@@ -70,36 +80,91 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
+# Gauss-Kronrod 15-point nodes on [-1, 1] (ascending) with the Kronrod
+# weights and, in the second column, the weights of the 7-point Gauss rule
+# embedded at the odd-indexed nodes (Piessens et al., QUADPACK, 1983).
+_GK_HALF = (  # (node, Kronrod weight, Gauss weight) for node >= 0
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
+)
+_GK = np.array(_GK_HALF[:-1] + _GK_HALF[::-1])
+_GK[:7, 0] *= -1.0
+_NODES = _GK[:, 0]
+_WEIGHTS = _GK[:, 1:]  # (15, 2): Kronrod, Gauss
 
-def _simpson(fa, fm, fb, a, b):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+#: A panel whose |K - G| is within this many ulps of its integral of |f|
+#: cannot be improved by bisection: rounding, not the rule, limits it.
+_ROUNDING_ULPS = 50.0 * np.finfo(float).eps
+
+#: Cells per pass of the vectorised convolution; bounds the size of the
+#: refinement arrays whatever the length of the tau array.
+_CELLS_PER_PASS = 1024
 
 
-def _adapt(fn, a, fa, m, fm, b, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = fn(lm)
-    frm = fn(rm)
-    left = _simpson(fa, flm, fm, a, m)
-    right = _simpson(fm, frm, fb, m, b)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, True
-    if depth <= 0:
-        return left + right + delta / 15.0, False
-    lv, lok = _adapt(fn, a, fa, lm, flm, m, fm, left, 0.5 * tol, depth - 1)
-    rv, rok = _adapt(fn, m, fm, rm, frm, b, fb, right, 0.5 * tol, depth - 1)
-    return lv + rv, lok and rok
+def _gauss_kronrod(fn, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
+                   cell: np.ndarray, n_cells: int,
+                   max_depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive G7/K15 over panels ``[lo, hi]``, each owned by a ``cell``.
+
+    ``fn(x, cell)`` evaluates the integrands at the nodes ``x`` (one row of
+    15 per panel) of the panels owned by ``cell``.  A panel is accepted
+    when |K15 - G7| <= its ``tol``; otherwise it is bisected and each half
+    gets half the tolerance, at most ``max_depth`` times.  Returns the
+    per-cell sums of the Kronrod estimates and whether every panel of the
+    cell met its tolerance (the sums are then still the best estimates).
+    """
+    total = np.zeros(n_cells)
+    ok = np.ones(n_cells, dtype=bool)
+    for level in range(max_depth + 1):
+        centre = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fx = fn(centre[:, None] + half[:, None] * _NODES, cell)
+        # einsum rather than a BLAS matmul, whose buffers add ~1 MB of RSS
+        kronrod, gauss = np.einsum("pn,nw->wp", fx, _WEIGHTS) * half
+        err = np.abs(kronrod - gauss)
+        refine = ~(err <= tol)
+        if refine.any():
+            # a panel at max_depth, with a nan estimate or with an error at
+            # the rounding floor cannot be refined: it fails its cell
+            floor = _ROUNDING_ULPS * half * np.einsum("pn,n->p", np.abs(fx),
+                                                      _WEIGHTS[:, 0])
+            stuck = refine & ((level == max_depth) | ~(err > floor))
+            if stuck.any():
+                ok[cell[stuck]] = False
+                refine &= ~stuck
+        done = ~refine
+        total += np.bincount(cell[done], weights=kronrod[done], minlength=n_cells)
+        if not refine.any():
+            break
+        mid = centre[refine]
+        lo = np.concatenate((lo[refine], mid))
+        hi = np.concatenate((mid, hi[refine]))
+        tol = 0.5 * tol[refine]
+        tol = np.concatenate((tol, tol))
+        cell = cell[refine]
+        cell = np.concatenate((cell, cell))
+    return total, ok
 
 
 def integrate(fn: Callable[[float], float], a: float, b: float,
               cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Adaptive-Simpson integral of ``fn`` over [a, b].
+    """Adaptive Gauss-Kronrod G7/K15 integral of the scalar ``fn`` over [a, b].
 
     The interval is split at every configured breakpoint strictly inside
     (a, b); each segment receives a tolerance share proportional to its
-    length.  Raises :class:`QuadratureConvergenceError` (carrying the best
-    estimate) if the depth limit is hit before the tolerance is met.
+    length.  The rule never evaluates ``fn`` at a segment end, so a jump at
+    a breakpoint needs no one-sided limit.  Raises
+    :class:`QuadratureConvergenceError` (carrying the best estimate) if the
+    depth limit is hit before the tolerance is met.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -107,33 +172,31 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
         raise DomainError(f"integration bounds out of order: [{a}, {b}]")
     if b == a:
         return 0.0
-    cuts = [a] + [p for p in cfg.breakpoints if a < p < b] + [b]
-    total = 0.0
-    ok = True
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        seg_tol = cfg.abs_tol * (hi - lo) / (b - a)
-        m = 0.5 * (lo + hi)
-        # segment ends sit on breakpoints: take one-sided limits there
-        flo = fn(math.nextafter(lo, hi))
-        fm = fn(m)
-        fhi = fn(math.nextafter(hi, lo))
-        whole = _simpson(flo, fm, fhi, lo, hi)
-        val, seg_ok = _adapt(fn, lo, flo, m, fm, hi, fhi, whole, seg_tol, cfg.max_depth)
-        total += val
-        ok = ok and seg_ok
-    if not ok:
+    cuts = np.array([a] + [p for p in cfg.breakpoints if a < p < b] + [b])
+    lo, hi = cuts[:-1], cuts[1:]
+
+    def each(x, cell):
+        return np.fromiter((fn(float(t)) for t in x.flat), float,
+                           x.size).reshape(x.shape)
+
+    total, ok = _gauss_kronrod(each, lo, hi, cfg.abs_tol * (hi - lo) / (b - a),
+                               np.zeros(lo.size, dtype=int), 1, cfg.max_depth)
+    if not ok[0]:
         raise QuadratureConvergenceError(
-            f"adaptive Simpson hit depth {cfg.max_depth} before reaching "
-            f"abs_tol={cfg.abs_tol} on [{a}, {b}]", best_estimate=total)
-    return total
+            f"Gauss-Kronrod quadrature hit depth {cfg.max_depth} before "
+            f"reaching abs_tol={cfg.abs_tol} on [{a}, {b}]",
+            best_estimate=float(total[0]))
+    return float(total[0])
 
 
-def convolve_cdf(dist: ProcessingTimeDistribution, tau: float,
+def convolve_cdf(dist: ProcessingTimeDistribution, tau,
                  cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                 force_numeric: bool = False) -> float:
+                 force_numeric: bool = False):
     """P(z1 + z2 <= tau) for two iid draws from ``dist``.
 
-    Exponential and uniform inputs use their closed forms:
+    ``tau`` is a scalar (a float is returned) or an array (an array of the
+    same shape is returned).  Exponential and uniform inputs use their
+    closed forms:
 
     * exponential: 1 - e^(-u tau) - u tau e^(-u tau)
     * uniform: tau^2/(2 v^2) on [0, v); 2 tau/v - tau^2/(2 v^2) - 1 on
@@ -141,55 +204,84 @@ def convolve_cdf(dist: ProcessingTimeDistribution, tau: float,
 
     ``force_numeric=True`` routes them through the quadrature path instead
     (retained for cross-checking).  The Weibull family has no closed form
-    and always integrates numerically, as do custom distributions.
+    and always integrates numerically, as do custom distributions, whose
+    ``pdf`` and ``cdf`` are called with arrays of nodes.  A tau at which
+    the quadrature misses ``cfg.abs_tol`` raises
+    :class:`QuadratureConvergenceError` naming the first such tau and
+    carrying its best estimate.
     """
-    if not math.isfinite(tau):
+    taus = np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(taus)):
         raise DomainError(f"tau must be finite, got {tau}")
-    if tau < 0:
+    if np.any(taus < 0):
         raise DomainError(f"tau must be nonnegative, got {tau}")
-    if tau == 0.0:
-        return 0.0
 
-    if not force_numeric:
-        if isinstance(dist, Exponential):
-            ut = dist.u * tau
-            return -math.expm1(-ut) - ut * math.exp(-ut)
-        if isinstance(dist, Uniform):
-            v = dist.v
-            if tau < v:
-                return tau * tau / (2.0 * v * v)
-            if tau < 2.0 * v:
-                return 2.0 * tau / v - tau * tau / (2.0 * v * v) - 1.0
-            return 1.0
+    if not force_numeric and isinstance(dist, Exponential):
+        ut = dist.u * taus
+        conv = -np.expm1(-ut) - ut * np.exp(-ut)
+    elif not force_numeric and isinstance(dist, Uniform):
+        x = taus / dist.v
+        conv = np.where(x < 1.0, 0.5 * x * x,
+                        np.where(x < 2.0, 2.0 * x - 0.5 * x * x - 1.0, 1.0))
+    else:
+        conv = np.zeros(taus.shape)
+        flat = taus.reshape(-1)
+        out = conv.reshape(-1)
+        for start in range(0, flat.size, _CELLS_PER_PASS):
+            part = flat[start:start + _CELLS_PER_PASS]
+            pos = np.flatnonzero(part > 0.0)
+            out[start + pos] = _numeric_conv(dist, part[pos], cfg)
+    return float(conv) if taus.ndim == 0 else conv
 
-    coded = kernels.family_code(dist)
-    if coded is not None:
-        code, p1, p2 = coded
-        val, converged = kernels.conv_cdf(code, p1, p2, tau,
-                                          cfg.abs_tol, cfg.max_depth)
-        if not converged:
-            raise QuadratureConvergenceError(
-                f"convolution quadrature did not converge at tau={tau} "
-                f"for {dist!r}", best_estimate=val)
-        return val
 
-    # custom distribution: same split, generic callables
+def _numeric_conv(dist: ProcessingTimeDistribution, tau: np.ndarray,
+                  cfg: QuadratureConfig) -> np.ndarray:
+    """The split-form convolution at every (positive) tau at once."""
+    n = tau.size
     half = 0.5 * tau
-    inner_breaks = set()
-    for b in dist.breakpoints():
-        for p in (b, tau - b):
-            if half < p < tau:
-                inner_breaks.add(float(p))
-    inner_cfg = QuadratureConfig(abs_tol=0.5 * cfg.abs_tol,
-                                 max_depth=cfg.max_depth,
-                                 breakpoints=tuple(inner_breaks))
-    def integrand(x: float) -> float:
-        return float(dist.pdf(x)) * float(dist.cdf(tau - x))
+    if isinstance(dist, Weibull) and dist.k < 1.0:
+        # With k < 1 the CDF has a vertical tangent at 0, so the direct
+        # integrand behaves like (tau - x)^k at x = tau and starves the
+        # refinement.  Substituting s = (u (tau - x))^k gives
+        #   int_0^{(u tau/2)^k} f(tau - s^(1/k)/u) (1 - e^-s)
+        #                       s^((1-k)/k) / (u k) ds
+        # whose integrand vanishes like s^(1/k) at 0.
+        k, u = dist.k, dist.u
+        inv_k, jac_exp = 1.0 / k, (1.0 - k) / k
 
-    integral = integrate(integrand, half, tau, inner_cfg)
-    f_half = float(dist.cdf(half))
-    conv = f_half * f_half + 2.0 * integral
-    return min(max(conv, 0.0), float(dist.cdf(tau)))
+        def integrand(s, cell):
+            x = tau[cell][:, None] - s ** inv_k / u
+            return dist.pdf(x) * -np.expm1(-s) * s ** jac_exp / (u * k)
+
+        lo, hi, cell = np.zeros(n), (u * half) ** k, np.arange(n)
+        tol = np.full(n, 0.5 * cfg.abs_tol)
+    else:
+        def integrand(x, cell):
+            return dist.pdf(x) * dist.cdf(tau[cell][:, None] - x)
+
+        # cut [tau/2, tau] at the kinks x = b and x = tau - b of f(x) F(tau - x)
+        bps = np.asarray(dist.breakpoints(), dtype=float)
+        kinks = np.hstack([np.broadcast_to(bps, (n, bps.size)), tau[:, None] - bps])
+        cuts = np.sort(np.column_stack(
+            [half, tau, np.clip(kinks, half[:, None], tau[:, None])]), axis=1)
+        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+        cell = np.repeat(np.arange(n), cuts.shape[1] - 1)
+        keep = hi > lo
+        lo, hi, cell = lo[keep], hi[keep], cell[keep]
+        tol = 0.5 * cfg.abs_tol * (hi - lo) / half[cell]
+
+    integral, ok = _gauss_kronrod(integrand, lo, hi, tol, cell, n, cfg.max_depth)
+    f_half = np.asarray(dist.cdf(half), dtype=float)
+    # mathematical constraint: 0 <= f*F(tau) <= F(tau)
+    conv = np.clip(f_half * f_half + 2.0 * integral, 0.0,
+                   np.asarray(dist.cdf(tau), dtype=float))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise QuadratureConvergenceError(
+            f"convolution quadrature did not converge at tau={float(tau[i])!r} "
+            f"for {dist!r} (abs_tol={cfg.abs_tol}, max_depth={cfg.max_depth})",
+            best_estimate=float(conv[i]))
+    return conv
 
 
 # --------------------------------------------------------------------------
@@ -268,6 +360,12 @@ class GridResult:
         return buf.getvalue()
 
 
+def _cell_error(grid: GridSpec, point: tuple[float, ...],
+                exc: BaseException) -> GridEvalError:
+    names = ", ".join(f"{ax.name}={c!r}" for ax, c in zip(grid.axes, point))
+    return GridEvalError(f"grid cell ({names}) failed: {exc}", point=point)
+
+
 def grid_eval(fn: Callable[..., float], grid: GridSpec,
               workers: int | None = None) -> GridResult:
     """Evaluate ``fn`` at every grid point.
@@ -296,11 +394,34 @@ def grid_eval(fn: Callable[..., float], grid: GridSpec,
 
     if errors:
         idx = min(errors)
-        exc = errors[idx]
-        names = ", ".join(f"{ax.name}={c!r}" for ax, c in zip(grid.axes, points[idx]))
-        raise GridEvalError(f"grid cell ({names}) failed: {exc}",
-                            point=points[idx]) from exc
+        raise _cell_error(grid, points[idx], errors[idx]) from errors[idx]
     return GridResult(grid=grid, values=values.reshape(grid.shape))
+
+
+def grid_eval_rows(fn: Callable[[float, np.ndarray], np.ndarray],
+                   grid: GridSpec) -> GridResult:
+    """Evaluate a two-axis grid one first-axis row at a time.
+
+    ``fn(x, ys)`` returns the whole row at ``x`` over the array ``ys`` of
+    second-axis values.  When a row fails, its cells are evaluated one at
+    a time to report the first failing cell (in index order) with its
+    coordinates, as :func:`grid_eval` does.
+    """
+    if len(grid.axes) != 2:
+        raise DomainError(f"grid_eval_rows needs 2 axes, got {len(grid.axes)}")
+    xs, ys = (ax.values() for ax in grid.axes)
+    values = np.empty(grid.shape)
+    for i, x in enumerate(xs):
+        try:
+            values[i] = fn(float(x), ys)
+        except Exception:
+            for j in range(ys.size):
+                try:
+                    fn(float(x), ys[j:j + 1])
+                except Exception as exc:
+                    raise _cell_error(grid, (float(x), float(ys[j])), exc) from exc
+            raise
+    return GridResult(grid=grid, values=values)
 
 
 def write_rows_csv(out, header: Sequence[str], rows: Iterable[Sequence]) -> None:

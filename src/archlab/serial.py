@@ -23,7 +23,6 @@ whose sign equals the sign of D.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,13 +58,14 @@ class SerialTwoModel:
             raise DomainError(f"order probability p must be in [0, 1], got {self.p}")
 
 
-def _components(model: SerialTwoModel, tau: float,
-                cfg: QuadratureConfig) -> tuple[float, float, float, float]:
-    if not math.isfinite(tau):
+def _components(model: SerialTwoModel, tau, cfg: QuadratureConfig):
+    """(F, conv, marginal_a, marginal_b) at a scalar or an array of tau."""
+    taus = np.asarray(tau, dtype=float)
+    if not np.all(np.isfinite(taus)):
         raise DomainError(f"tau must be finite, got {tau}")
-    if tau < 0:
+    if np.any(taus < 0):
         raise DomainError(f"tau must be nonnegative, got {tau}")
-    f_val = float(model.dist.cdf(tau))
+    f_val = model.dist.cdf(tau)
     conv = convolve_cdf(model.dist, tau, cfg)
     p = model.p
     marginal_a = p * f_val + (1.0 - p) * conv
@@ -82,49 +82,70 @@ def marginal_completion_cdf(model: SerialTwoModel, which: str, tau: float,
     return marginal_a if which == "a" else marginal_b
 
 
-def dependence_difference(model: SerialTwoModel, tau: float,
-                          cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def _checked_difference(model: SerialTwoModel, tau, f_val, conv, marginal_a,
+                        marginal_b):
+    """conv/marginal_a - marginal_b, cross-checked against the factored
+    form; scalars or arrays, evaluated elementwise."""
+    taus, f_val, conv, marginal_a, marginal_b = np.broadcast_arrays(
+        tau, f_val, conv, marginal_a, marginal_b)
+    null = marginal_a <= 0.0
+    if np.any(null):
+        raise ConditioningError(
+            "conditioning on null event: P(completion of a by "
+            f"tau={float(taus[null][0])!r}) = 0")
+    quotient = conv / marginal_a - marginal_b
+    pq = model.p * (1.0 - model.p)
+    with np.errstate(divide="ignore", invalid="ignore"):  # conv below the floor
+        root = np.sqrt(conv)
+        factored = conv / marginal_a * (1.0 - f_val - pq * (root - f_val / root) ** 2)
+    disagree = (conv > _CONV_FLOOR) & (np.abs(quotient - factored) > ROUTE_AGREEMENT_TOL)
+    if np.any(disagree):
+        i = np.flatnonzero(disagree)[0]
+        raise ConsistencyError(
+            f"dependence routes disagree at tau={float(taus.flat[i])!r}: "
+            f"quotient={float(quotient.flat[i])!r}, "
+            f"factored={float(factored.flat[i])!r}")
+    return float(quotient) if quotient.ndim == 0 else quotient
+
+
+def dependence_difference(model: SerialTwoModel, tau,
+                          cfg: QuadratureConfig = DEFAULT_QUADRATURE):
     """Conditional-minus-marginal completion probability at ``tau``.
 
     Computed as conv/marginal_a - marginal_b and cross-checked against the
     factored form; a :class:`ConsistencyError` means the two algebraically
-    equal routes diverged, which would indicate a numerical defect.
+    equal routes diverged, which would indicate a numerical defect.  A
+    scalar ``tau`` gives a float, an array of tau an array.
     """
-    f_val, conv, marginal_a, marginal_b = _components(model, tau, cfg)
-    if marginal_a <= 0.0:
-        raise ConditioningError(
-            f"conditioning on null event: P(completion of a by tau={tau}) = 0")
-    quotient = conv / marginal_a - marginal_b
-    if conv > _CONV_FLOOR:
-        r = conv / marginal_a
-        pq = model.p * (1.0 - model.p)
-        root = math.sqrt(conv)
-        factored = r * (1.0 - f_val - pq * (root - f_val / root) ** 2)
-        if abs(quotient - factored) > ROUTE_AGREEMENT_TOL:
-            raise ConsistencyError(
-                f"dependence routes disagree at tau={tau}: "
-                f"quotient={quotient!r}, factored={factored!r}")
-    return quotient
+    return _checked_difference(model, tau, *_components(model, tau, cfg))
 
 
-def expression3(f_val: float, conv_val: float) -> float:
+def expression3(f_val, conv_val):
     """The p = 1/2 sign kernel: 1 - F - (1/4)[sqrt(conv) - F/sqrt(conv)]^2.
 
     Requires 0 < conv <= F <= 1 (the convolution of two nonnegative
-    summands can never exceed the single-summand CDF).
+    summands can never exceed the single-summand CDF).  Scalars give a
+    float; arrays are evaluated elementwise, and an error names the first
+    offending value.
     """
-    for name, val in (("F", f_val), ("conv", conv_val)):
-        if not math.isfinite(val):
-            raise DomainError(f"{name} must be finite, got {val}")
-    if conv_val <= 0.0:
-        raise DomainError(f"conv must be positive, got {conv_val}")
-    if f_val > 1.0:
-        raise DomainError(f"F must be at most 1, got {f_val}")
-    if conv_val > f_val:
-        raise OrderingViolationError(
-            f"ordering violated: conv={conv_val} exceeds F={f_val}")
-    root = math.sqrt(conv_val)
-    return 1.0 - f_val - 0.25 * (root - f_val / root) ** 2
+    f_arr, conv_arr = np.broadcast_arrays(np.asarray(f_val, dtype=float),
+                                          np.asarray(conv_val, dtype=float))
+
+    def require(ok, error, message):
+        if not np.all(ok):
+            i = np.flatnonzero(~ok)[0]
+            raise error(message.format(F=float(f_arr.flat[i]),
+                                       conv=float(conv_arr.flat[i])))
+
+    require(np.isfinite(f_arr), DomainError, "F must be finite, got {F}")
+    require(np.isfinite(conv_arr), DomainError, "conv must be finite, got {conv}")
+    require(conv_arr > 0.0, DomainError, "conv must be positive, got {conv}")
+    require(f_arr <= 1.0, DomainError, "F must be at most 1, got {F}")
+    require(conv_arr <= f_arr, OrderingViolationError,
+            "ordering violated: conv={conv} exceeds F={F}")
+    root = np.sqrt(conv_arr)
+    out = 1.0 - f_arr - 0.25 * (root - f_arr / root) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -164,22 +185,20 @@ def dependence_profile(model: SerialTwoModel, taus: Sequence[float] | np.ndarray
                        cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> DependenceProfile:
     """Evaluate the dependence difference on a tau grid.
 
-    Signs are classified with the global zero tolerance, so e.g. the
-    uniform family beyond twice its support classifies as exactly zero.
+    Every convolution is computed once, for the whole grid, and both
+    routes of the difference are cross-checked on those arrays.  Signs are
+    classified with the global zero tolerance, so e.g. the uniform family
+    beyond twice its support classifies as exactly zero.
     """
-    points = []
-    for tau in np.asarray(taus, dtype=float):
-        tau = float(tau)
-        f_val, conv, marginal_a, marginal_b = _components(model, tau, cfg)
-        if marginal_a <= 0.0:
-            raise ConditioningError(
-                f"conditioning on null event in profile at tau={tau}")
-        diff = dependence_difference(model, tau, cfg)
-        points.append(DependencePoint(
-            tau=tau, f=f_val, conv=conv,
-            marginal_a=marginal_a, marginal_b=marginal_b,
-            r=conv / marginal_a, r_prime=1.0 / marginal_a,
-            difference=diff, sign=classify_sign(diff)))
+    taus = np.asarray(taus, dtype=float).reshape(-1)
+    f_val, conv, marginal_a, marginal_b = _components(model, taus, cfg)
+    diff = _checked_difference(model, taus, f_val, conv, marginal_a, marginal_b)
+    points = [DependencePoint(
+        tau=float(t), f=float(f), conv=float(c), marginal_a=float(ma),
+        marginal_b=float(mb), r=float(c / ma), r_prime=float(1.0 / ma),
+        difference=float(d), sign=classify_sign(float(d)))
+        for t, f, c, ma, mb, d in zip(taus, f_val, conv, marginal_a,
+                                      marginal_b, diff)]
     return DependenceProfile(model=model, points=points)
 
 

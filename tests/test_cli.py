@@ -57,6 +57,23 @@ class TestFigures:
         assert payload["figure"] == "fig7"
         assert len(payload["rows"]) == 9
 
+    def test_fig4_failing_cell_named(self, capsys):
+        code, _, err = run(["figure", "fig4", "--k", "-1", "--steps", "3"],
+                           capsys)
+        assert code == 2
+        assert "grid cell (u=0.5, tau=0.01) failed" in err
+
+    def test_fig4_json_matches_csv(self, capsys):
+        code, csv_out, _ = run(["figure", "fig4", "--steps", "4"], capsys)
+        assert code == 0
+        code, json_out, _ = run(["figure", "fig4", "--steps", "4",
+                                 "--format", "json"], capsys)
+        assert code == 0
+        rows = json.loads(json_out)["rows"]
+        csv_rows = [[float(c) for c in line.split(",")]
+                    for line in csv_out.splitlines()[1:]]
+        assert [[r["axis1"], r["axis2"], r["value"]] for r in rows] == csv_rows
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(["figure", "fig5", "--steps", "6", "--out", str(a)], capsys)

@@ -1,80 +1,160 @@
-"""Parity between the compiled kernel and its pure-Python twin."""
+"""The convolution kernel against a frozen high-precision oracle.
 
-import os
-import subprocess
-import sys
+Every value below is P(z1 + z2 <= tau) for two iid draws, computed with
+mpmath at 50 digits (inputs taken as mpf(float)) and rounded to the
+nearest double:
+
+* Weibull(k, u), F(x) = -expm1(-(u max(x, 0))^k):
+  k < 1: substitute y = (u x)^k, conv = int_0^{(u tau)^k} e^-y
+         F(tau - y^(1/k)/u) dy, split at half the upper limit;
+  k >= 1: the direct form int_0^tau f(x) F(tau - x) dx, split at tau/2.
+  Cross-check: the direct form split at tau * 2^-j, j = 1..60.
+* Exponential(u): the closed form 1 - e^(-u tau) - u tau e^(-u tau).
+  Cross-check: the direct form on [0, tau].
+* Uniform(v): the closed form tau^2/(2 v^2), 2 tau/v - tau^2/(2 v^2) - 1,
+  1 on [0, v), [v, 2v), [2v, inf).  Cross-check: the direct form split at
+  v and tau - v.
+* LogLogistic(b), F(x) = x^b / (1 + x^b): the direct form split at tau/2.
+  Cross-check: the split form F(tau/2)^2 + 2 int_{tau/2}^tau.
+
+Each primary recipe agrees with its cross-check to 7e-15.  The exponential
+and uniform cells go through the quadrature with ``force_numeric=True``.
+"""
+
+import math
+import re
 
 import numpy as np
 import pytest
 
-from archlab import _pykernels
+from archlab.distributions import (Exponential, ProcessingTimeDistribution,
+                                   Uniform, Weibull)
+from archlab.errors import QuadratureConvergenceError
+from archlab.numerics import QuadratureConfig, convolve_cdf
 
-try:
-    from archlab import _ckernels
-except ImportError:  # pragma: no cover - build-dependent
-    _ckernels = None
+#: Worst allowed |archlab - oracle|; the default abs_tol is 1e-8, and the
+#: rule's error estimate |K15 - G7| overstates the Kronrod error by far.
+ORACLE_TOL = 1e-10
 
-needs_ext = pytest.mark.skipif(_ckernels is None,
-                               reason="compiled kernel not built")
+WEIBULL_ORACLE = {  # (k, u, tau): conv
+    (0.2, 1.0, 0.01): 0.10394497706173657,
+    (0.2, 10.0, 5.0): 0.7829255983711731,
+    (0.5, 1.0, 0.3): 0.15024478488419077,
+    (0.5, 3.0, 2.0): 0.803580238188998,
+    (0.7, 0.5, 4.0): 0.5567040335970258,
+    (0.9, 2.0, 1.1): 0.6292982012100472,
+    (1.0, 1.0, 1.0): 0.26424111765711533,
+    (1.5, 1.0, 0.2): 0.0022499681348434105,
+    (1.5, 1.0, 2.5): 0.8013139616949307,
+    (2.0, 10.0, 0.01): 1.6600154497720827e-05,
+    (2.0, 0.5, 5.0): 0.8621123270862185,
+    (3.7, 2.0, 0.9): 0.49310556150067564,
+    (5.0, 1.0, 1.7): 0.3161450247696321,
+}
 
+EXPONENTIAL_ORACLE = {  # (u, tau): conv
+    (1.3, 0.05): 0.0020231515030653445,
+    (1.3, 1.0): 0.373176876021771,
+    (1.3, 6.0): 0.9963943321849779,
+}
 
-def _cases():
-    rng = np.random.default_rng(2718)
-    cases = []
-    for _ in range(400):
-        fam = int(rng.integers(1, 4))
-        if fam == 1:
-            p1, p2 = float(rng.uniform(0.1, 5.0)), float(rng.uniform(0.2, 8.0))
-            scale = 1.0 / p2
-        elif fam == 2:
-            p1, p2, scale = float(rng.uniform(0.2, 8.0)), 0.0, None
-            scale = 1.0 / p1
-        else:
-            p1, p2 = float(rng.uniform(0.2, 8.0)), 0.0
-            scale = p1
-        cases.append((fam, p1, p2, float(rng.uniform(0.005, 4.0)) * scale))
-    return cases
+UNIFORM_ORACLE = {  # (v, tau): conv; tau on both sides of v and 2v
+    (2.0, 0.5): 0.03125,
+    (2.0, 1.9): 0.45125,
+    (2.0, 2.0): 0.5,
+    (2.0, 2.1): 0.5487500000000001,
+    (2.0, 3.0): 0.875,
+    (2.0, 3.9): 0.99875,
+    (2.0, 4.0): 1.0,
+    (2.0, 4.1): 1.0,
+}
 
+LOGLOGISTIC_ORACLE = {  # (b, tau): conv
+    (3.0, 0.4): 0.0001987241753964944,
+    (3.0, 1.5): 0.18896169790457737,
+    (3.0, 4.0): 0.9177304373413273,
+}
 
-@needs_ext
-def test_backends_agree_and_converge():
-    worst = 0.0
-    for fam, p1, p2, tau in _cases():
-        vc, okc = _ckernels.conv_cdf(fam, p1, p2, tau, 1e-8, 40)
-        vp, okp = _pykernels.conv_cdf(fam, p1, p2, tau, 1e-8, 40)
-        assert okc and okp, (fam, p1, p2, tau)
-        worst = max(worst, abs(vc - vp))
-    assert worst <= 1e-12
-
-
-@needs_ext
-def test_backends_same_edge_values():
-    for fam, p1, p2 in ((1, 0.2, 1.0), (1, 1.0, 2.0), (2, 1.0, 0.0), (3, 2.0, 0.0)):
-        assert _ckernels.conv_cdf(fam, p1, p2, 0.0, 1e-8, 40) == (0.0, True)
-        assert _pykernels.conv_cdf(fam, p1, p2, 0.0, 1e-8, 40) == (0.0, True)
-
-
-def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        _pykernels.conv_cdf(9, 1.0, 1.0, 1.0, 1e-8, 40)
-    if _ckernels is not None:
-        with pytest.raises(ValueError):
-            _ckernels.conv_cdf(9, 1.0, 1.0, 1.0, 1e-8, 40)
+#: Adaptive Simpson reported convergence here while off by 1.34e-5.
+FALSE_CONVERGENCE_CELL = (2.0, 1.5555555555555556, 2.126969696969697)
+FALSE_CONVERGENCE_ORACLE = 0.9825965140295506
 
 
-def test_env_var_forces_pure_backend():
-    env = dict(os.environ, ARCHLAB_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from archlab import kernels; print(kernels.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "pure-python"
+class LogLogistic(ProcessingTimeDistribution):
+    """A user distribution with only pdf and cdf (no closed-form sum)."""
+
+    def __init__(self, b: float):
+        self.b = b
+
+    def pdf(self, t):
+        x = np.clip(np.asarray(t, dtype=float), 0.0, None)
+        return self.b * x ** (self.b - 1.0) / (1.0 + x ** self.b) ** 2
+
+    def cdf(self, t):
+        x = np.clip(np.asarray(t, dtype=float), 0.0, None)
+        return x ** self.b / (1.0 + x ** self.b)
 
 
-def test_values_identical_across_backend_choice():
-    # the selected backend must give the same numbers as the fallback
-    from archlab import kernels
-    for fam, p1, p2, tau in _cases()[:60]:
-        sel, ok1 = kernels.conv_cdf(fam, p1, p2, tau, 1e-8, 40)
-        pure, ok2 = _pykernels.conv_cdf(fam, p1, p2, tau, 1e-8, 40)
-        assert ok1 and ok2
-        assert abs(sel - pure) <= 1e-12
+@pytest.mark.parametrize("k, u, tau", sorted(WEIBULL_ORACLE))
+def test_weibull_matches_oracle(k, u, tau):
+    got = convolve_cdf(Weibull(k, u), tau)
+    assert isinstance(got, float)
+    assert abs(got - WEIBULL_ORACLE[(k, u, tau)]) <= ORACLE_TOL
+
+
+def test_weibull_false_convergence_regression():
+    k, u, tau = FALSE_CONVERGENCE_CELL
+    got = convolve_cdf(Weibull(k, u), tau)
+    assert abs(got - FALSE_CONVERGENCE_ORACLE) <= 1e-12
+
+
+@pytest.mark.parametrize("u, tau", sorted(EXPONENTIAL_ORACLE))
+def test_exponential_numeric_path_matches_oracle(u, tau):
+    got = convolve_cdf(Exponential(u), tau, force_numeric=True)
+    assert abs(got - EXPONENTIAL_ORACLE[(u, tau)]) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("v, tau", sorted(UNIFORM_ORACLE))
+def test_uniform_numeric_path_matches_oracle(v, tau):
+    got = convolve_cdf(Uniform(v), tau, force_numeric=True)
+    assert abs(got - UNIFORM_ORACLE[(v, tau)]) <= ORACLE_TOL
+
+
+def test_custom_pdf_cdf_only_distribution_matches_oracle():
+    taus = np.array([tau for _, tau in sorted(LOGLOGISTIC_ORACLE)])
+    ref = np.array([LOGLOGISTIC_ORACLE[key] for key in sorted(LOGLOGISTIC_ORACLE)])
+    got = convolve_cdf(LogLogistic(3.0), taus)
+    assert np.max(np.abs(got - ref)) <= ORACLE_TOL
+
+
+def test_array_tau_matches_scalar_calls():
+    for k, u in {(k, u) for k, u, _ in WEIBULL_ORACLE}:
+        dist = Weibull(k, u)
+        taus = np.array([[0.0, 0.01, 0.5], [1.0, 2.5, 5.0]])
+        got = convolve_cdf(dist, taus)
+        assert got.shape == taus.shape
+        scalar = [convolve_cdf(dist, float(t)) for t in taus.flat]
+        assert np.max(np.abs(got.reshape(-1) - scalar)) <= 1e-15
+        assert got[0, 0] == 0.0
+
+
+def test_starved_scalar_raises_with_finite_estimate():
+    cfg = QuadratureConfig(abs_tol=1e-12, max_depth=1)
+    with pytest.raises(QuadratureConvergenceError, match=r"tau=1\.0\b") as err:
+        convolve_cdf(Weibull(1.5, 1.0), 1.0, cfg)
+    est = err.value.best_estimate
+    assert math.isfinite(est)
+    assert 0.0 <= est <= float(Weibull(1.5, 1.0).cdf(1.0))
+
+
+def test_starved_array_names_first_failing_tau():
+    # at this depth the two smallest tau converge and the rest do not
+    cfg = QuadratureConfig(abs_tol=1e-12, max_depth=1)
+    taus = np.array([0.001, 0.01, 0.5, 1.0])
+    with pytest.raises(QuadratureConvergenceError,
+                       match=re.escape("tau=0.5 ")) as err:
+        convolve_cdf(Weibull(1.5, 1.0), taus, cfg)
+    assert math.isfinite(err.value.best_estimate)
+    assert 0.0 <= err.value.best_estimate <= float(Weibull(1.5, 1.0).cdf(0.5))
+    # the converging prefix really converges under the same config
+    assert np.all(convolve_cdf(Weibull(1.5, 1.0), taus[:2], cfg) > 0.0)

@@ -9,7 +9,8 @@ from archlab.distributions import Exponential, Uniform, Weibull
 from archlab.errors import (DomainError, GridEvalError,
                             QuadratureConvergenceError)
 from archlab.numerics import (Axis, GridSpec, QuadratureConfig, classify_sign,
-                              convolve_cdf, fmt17, grid_eval, integrate)
+                              convolve_cdf, fmt17, grid_eval,
+                              grid_eval_rows, integrate)
 from archlab.parallel import ParallelTwoModel, stage_survival_gap
 from archlab.serial import expression3
 
@@ -37,6 +38,26 @@ class TestIntegrate:
             integrate(spike, 0.0, 1.0, cfg)
         assert math.isfinite(err.value.best_estimate)
         assert err.value.best_estimate > 0
+
+    def test_tolerance_below_rounding_fails_without_refining(self):
+        # noise at the rounding level keeps |K - G| above any abs_tol this
+        # small; bisecting would only double the panels up to max_depth,
+        # so the panel fails at once
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return math.exp(t) * (1.0 + 1e-15 * math.sin(1e4 * t))
+
+        cfg = QuadratureConfig(abs_tol=1e-30, max_depth=40)
+        with pytest.raises(QuadratureConvergenceError) as err:
+            integrate(fn, 0.0, 1.0, cfg)
+        assert err.value.best_estimate == pytest.approx(math.e - 1.0, abs=1e-14)
+        assert len(calls) == 15
+
+    def test_nan_integrand_fails(self):
+        with pytest.raises(QuadratureConvergenceError):
+            integrate(lambda t: math.nan, 0.0, 1.0)
 
     def test_bound_validation(self):
         with pytest.raises(DomainError):
@@ -120,8 +141,8 @@ class TestConvolveCdf:
         assert 0.0 <= err.value.best_estimate <= 1.0
 
     def test_custom_distribution_generic_path(self):
-        # a pdf/cdf-only distribution goes through the generic quadrature
-        # route; compare against the coded-family kernel on the same law
+        # a pdf/cdf-only distribution is integrated from its own pdf and
+        # cdf; compare against the built-in Weibull on the same law
         from archlab.distributions import ProcessingTimeDistribution
 
         class Disguised(ProcessingTimeDistribution):
@@ -194,6 +215,25 @@ class TestGrids:
         res = grid_eval(lambda t, ta: stage_survival_gap(model, t, ta).expr4, grid)
         assert float(res.values.min()) < -1e-9
         assert float(res.values.max()) > 1e-9
+
+    def test_rows_match_cells(self):
+        grid = GridSpec(axes=(Axis("x", 0.0, 2.0, 5), Axis("y", 0.0, 3.0, 4)))
+        rows = grid_eval_rows(lambda x, ys: np.sin(x) * ys + x, grid)
+        cells = grid_eval(lambda x, y: float(np.sin(x) * y + x), grid)
+        assert np.array_equal(rows.values, cells.values)
+        assert rows.to_csv_string() == cells.to_csv_string()
+
+    def test_rows_first_failing_cell_reported(self):
+        grid = GridSpec(axes=(Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 3)))
+
+        def row(x, ys):
+            if x > 0.4 and np.any(ys > 0.7):
+                raise DomainError("boom")
+            return np.zeros_like(ys)
+
+        with pytest.raises(GridEvalError, match=r"x=0\.5, y=1\.0") as err:
+            grid_eval_rows(row, grid)
+        assert err.value.point == (0.5, 1.0)
 
     def test_axis_validation(self):
         with pytest.raises(DomainError):

@@ -199,7 +199,6 @@ class TestProfile:
         # This surface is strictly positive over u in [0.5, 10],
         # tau in [0.01, 5]: its minimum is ~ +0.109 at the largest u*tau
         # (frozen mpmath corner values in test_acceptance.py).
-        model = SerialTwoModel(Weibull(0.2, 1.0), 0.5)
         for u in (0.5, 2.0, 10.0):
             m = SerialTwoModel(Weibull(0.2, u), 0.5)
             profile = dependence_profile(m, np.linspace(0.01, 5.0, 25))
@@ -214,6 +213,33 @@ class TestProfile:
             profile = dependence_profile(m, np.linspace(0.01, 5.0, 25))
             assert all(s in ("negative", "zero") for s in profile.signs())
             assert any(s == "negative" for s in profile.signs())
+
+    @pytest.mark.parametrize("dist", [Weibull(0.5, 1.0), Weibull(2.0, 1.0),
+                                      Uniform(1.0)])
+    def test_each_convolution_computed_once(self, dist, monkeypatch):
+        import archlab.serial as serial_mod
+
+        cells_per_call = []
+        real = serial_mod.convolve_cdf
+
+        def counting(d, tau, *args, **kwargs):
+            cells_per_call.append(np.size(tau))
+            return real(d, tau, *args, **kwargs)
+
+        monkeypatch.setattr(serial_mod, "convolve_cdf", counting)
+        taus = np.linspace(0.01, 3.0, 40)
+        profile = dependence_profile(SerialTwoModel(dist, 0.5), taus)
+        assert len(profile.points) == taus.size
+        assert cells_per_call == [taus.size]
+
+    def test_profile_matches_scalar_difference(self):
+        model = SerialTwoModel(Weibull(1.5, 2.0), 0.3)
+        taus = np.linspace(0.05, 3.0, 30)
+        profile = dependence_profile(model, taus)
+        for pt in profile.points:
+            # numpy may round F(tau) an ulp differently for arrays
+            assert pt.difference == pytest.approx(
+                dependence_difference(model, pt.tau), abs=1e-15)
 
     def test_r_and_r_prime_exposed(self):
         model = SerialTwoModel(Exponential(1.0), 0.5)
