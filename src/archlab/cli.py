@@ -24,8 +24,7 @@ from . import mc, recall, verify
 from .distributions import (ProcessingTimeDistribution, Uniform,
                             Weibull, parse_spec)
 from .errors import ArchlabError, DistSpecError, UsageError
-from .numerics import (Axis, GridSpec, convolve_cdf, fmt17, grid_eval,
-                       grid_eval_rows)
+from .numerics import Axis, GridSpec, convolve_cdf, fmt17, grid_eval
 from .parallel import ParallelTwoModel, stage_survival_gap, stage_survival_grid
 from .serial import SerialTwoModel, dependence_profile, expression3
 
@@ -83,8 +82,6 @@ def _build_parser() -> _Parser:
     fig.add_argument("--v", type=float, default=2.0,
                      help="uniform upper bound (fig7; default 2)")
     fig.add_argument("--steps", type=int, default=100)
-    fig.add_argument("--workers", type=int, default=1,
-                     help="threads for the per-cell fig6/fig7 grids")
     fig.add_argument("--out", default=None)
     fig.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -140,11 +137,41 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _tau_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+def _write_table(args, result, **head) -> int:
+    """Write a result's ``rows()`` as CSV, or as JSON objects keyed by its
+    ``columns`` (after the ``head`` entries)."""
+    if args.format == "csv":
+        buf = io.StringIO()
+        result.to_csv(buf)
+        _write_text(args.out, buf.getvalue())
+    else:
+        rows = [dict(zip(result.columns, row)) for row in result.rows()]
+        _write_text(args.out, _json_17g({**head, "rows": rows}) + "\n")
+    return 0
+
+
+def _write_report(args, payload: dict) -> int:
+    """Write a one-row report as CSV or as a JSON object."""
+    if args.format == "csv":
+        cells = (fmt17(v) if isinstance(v, float) else json.dumps(v)
+                 for v in payload.values())
+        _write_text(args.out, ",".join(payload) + "\n" + ",".join(cells) + "\n")
+    else:
+        _write_text(args.out, _json_17g(payload) + "\n")
+    return 0
+
+
+def _check_axes(steps: int, **ranges: tuple[float, float]) -> None:
+    """--steps >= 2 and, for each NAME=(lo, hi), --NAME-min < --NAME-max."""
     if steps < 2:
         raise UsageError("--steps must be >= 2")
-    if not hi > lo:
-        raise UsageError(f"--tau-max ({hi}) must exceed --tau-min ({lo})")
+    for name, (lo, hi) in ranges.items():
+        if not hi > lo:
+            raise UsageError(f"--{name}-max ({hi}) must exceed --{name}-min ({lo})")
+
+
+def _tau_grid(lo: float, hi: float, steps: int) -> np.ndarray:
+    _check_axes(steps, tau=(lo, hi))
     if lo == 0.0:
         return np.linspace(lo, hi, steps + 1)[1:]
     return np.linspace(lo, hi, steps)
@@ -152,8 +179,7 @@ def _tau_grid(lo: float, hi: float, steps: int) -> np.ndarray:
 
 def _cmd_figure(args) -> int:
     steps = args.steps
-    if steps < 2:
-        raise UsageError("--steps must be >= 2")
+    _check_axes(steps)
     if args.id in ("fig4", "fig5"):
         k = args.k if args.k is not None else _FIG_DEFAULT_K[args.id]
         grid = GridSpec(axes=(Axis("u", 0.5, 10.0, steps),
@@ -163,7 +189,6 @@ def _cmd_figure(args) -> int:
             dist = Weibull(k, u)
             return expression3(dist.cdf(taus), convolve_cdf(dist, taus))
 
-        result = grid_eval_rows(row, grid)
     else:
         if args.id == "fig6":
             k = args.k if args.k is not None else _FIG_DEFAULT_K["fig6"]
@@ -179,34 +204,16 @@ def _cmd_figure(args) -> int:
         grid = GridSpec(axes=(Axis("t", lo, hi, steps),
                               Axis("Ta", lo, hi, steps)))
 
-        def cell(t: float, ta: float) -> float:
-            return stage_survival_gap(model, t, ta).expr4
+        def row(t: float, tas: np.ndarray) -> np.ndarray:
+            return stage_survival_gap(model, t, tas).expr4
 
-        result = grid_eval(cell, grid, workers=args.workers)
-
-    if args.format == "csv":
-        _write_text(args.out, result.to_csv_string())
-    else:
-        rows = [{"axis1": float(pt[0]), "axis2": float(pt[1]), "value": float(v)}
-                for pt, v in zip(grid.points(), result.values.reshape(-1))]
-        _write_text(args.out, _json_17g({"figure": args.id, "rows": rows}) + "\n")
-    return 0
+    return _write_table(args, grid_eval(row, grid), figure=args.id)
 
 
 def _cmd_theorem1(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    res = mc.run_theorem1_mc(args.n, args.seed)
-    payload = res.to_json_dict()
-    if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(payload.keys()) + "\n")
-        buf.write(",".join(fmt17(v) if isinstance(v, float) else str(v)
-                           for v in payload.values()) + "\n")
-        _write_text(args.out, buf.getvalue())
-    else:
-        _write_text(args.out, _json_17g(payload) + "\n")
-    return 0
+    return _write_report(args, mc.run_theorem1_mc(args.n, args.seed).to_json_dict())
 
 
 def _cmd_dependence(args) -> int:
@@ -216,18 +223,7 @@ def _cmd_dependence(args) -> int:
     if tau_max is None:
         tau_max = 2.0 * float(dist.quantile(0.999))
     taus = _tau_grid(args.tau_min, tau_max, args.steps)
-    profile = dependence_profile(model, taus)
-    if args.format == "csv":
-        buf = io.StringIO()
-        profile.to_csv(buf)
-        _write_text(args.out, buf.getvalue())
-    else:
-        rows = [{"tau": pt.tau, "F": pt.f, "conv": pt.conv,
-                 "marginal_a": pt.marginal_a, "marginal_b": pt.marginal_b,
-                 "R": pt.r, "difference": pt.difference, "sign": pt.sign}
-                for pt in profile.points]
-        _write_text(args.out, _json_17g({"rows": rows}) + "\n")
-    return 0
+    return _write_table(args, dependence_profile(model, taus))
 
 
 def _cmd_stage_survival(args) -> int:
@@ -237,22 +233,14 @@ def _cmd_stage_survival(args) -> int:
     t_max = args.t_max if args.t_max is not None else (
         0.45 * upper if np.isfinite(upper) else 3.0 * dist.typical_scale)
     ta_max = args.ta_max if args.ta_max is not None else t_max
+    _check_axes(args.steps, t=(args.t_min, t_max), ta=(args.ta_min, ta_max))
     for name, hi in (("t", t_max), ("Ta", ta_max)):
         if hi >= upper:
             raise ArchlabError(f"axis {name}: grid end {hi} is outside the "
                                f"support [0, {upper}) of {args.dist}")
     t_vals = np.linspace(args.t_min, t_max, args.steps)
     ta_vals = np.linspace(args.ta_min, ta_max, args.steps)
-    grid = stage_survival_grid(model, t_vals, ta_vals)
-    if args.format == "csv":
-        buf = io.StringIO()
-        grid.to_csv(buf)
-        _write_text(args.out, buf.getvalue())
-    else:
-        rows = [{"t": r.t, "Ta": r.ta, "alpha": r.alpha, "expr4": r.expr4,
-                 "gap": r.gap, "sign": r.sign} for r in grid.records]
-        _write_text(args.out, _json_17g({"rows": rows}) + "\n")
-    return 0
+    return _write_table(args, stage_survival_grid(model, t_vals, ta_vals))
 
 
 def _parse_rates(raw: str | None) -> tuple[float, ...]:
@@ -278,37 +266,12 @@ def _cmd_simulate(args) -> int:
         else:
             trials = mc.simulate_parallel(ParallelTwoModel(dist),
                                           args.n, args.seed)
-        if args.format == "csv":
-            buf = io.StringIO()
-            trials.to_csv(buf)
-            _write_text(args.out, buf.getvalue())
-        else:
-            rows = [{"trial": i,
-                     "order": "b_first" if trials.order_b_first[i] else "a_first",
-                     "t1": float(trials.t1[i]), "t2": float(trials.t2[i]),
-                     "total_a": float(trials.total_a[i]),
-                     "total_b": float(trials.total_b[i])}
-                    for i in range(len(trials))]
-            _write_text(args.out, _json_17g({"rows": rows}) + "\n")
-        return 0
+        return _write_table(args, trials)
 
     model = recall.RecallModel(_parse_rates(args.rates))
     sampler = (recall.sample_vu_serial if args.arch == "recall-serial"
                else recall.sample_parallel_expo)
-    trials = sampler(model, args.n, args.seed)
-    if args.format == "csv":
-        buf = io.StringIO()
-        trials.to_csv(buf)
-        _write_text(args.out, buf.getvalue())
-    else:
-        totals = trials.totals()
-        rows = [{"trial": i, "position": j + 1,
-                 "item": int(trials.orders[i, j]),
-                 "ict": float(trials.icts[i, j]),
-                 "cumulative_time": float(totals[i, j])}
-                for i in range(len(trials)) for j in range(trials.n_items)]
-        _write_text(args.out, _json_17g({"rows": rows}) + "\n")
-    return 0
+    return _write_table(args, sampler(model, args.n, args.seed))
 
 
 def _read_times(path: str) -> np.ndarray:
@@ -342,16 +305,7 @@ def _read_times(path: str) -> np.ndarray:
 def _cmd_fit(args) -> int:
     data = _read_times(args.input)
     fit = recall.weibull_mle(data)
-    payload = fit.to_json_dict(n=int(data.size), seed=None)
-    if args.format == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(payload.keys()) + "\n")
-        buf.write(",".join(fmt17(v) if isinstance(v, float) else json.dumps(v)
-                           for v in payload.values()) + "\n")
-        _write_text(args.out, buf.getvalue())
-    else:
-        _write_text(args.out, _json_17g(payload) + "\n")
-    return 0
+    return _write_report(args, fit.to_json_dict(n=int(data.size), seed=None))
 
 
 def _cmd_verify(args) -> int:

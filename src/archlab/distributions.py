@@ -44,8 +44,22 @@ def _prepare(t, name: str = "t"):
     return arr, arr.ndim == 0
 
 
+def _prepare_support(t, what: str):
+    """:func:`_prepare` for a functional undefined before the support."""
+    t_arr, scalar = _prepare(t)
+    if np.any(t_arr < 0.0):
+        raise DomainError(f"{what} undefined before the support: t={t!r}")
+    return t_arr, scalar
+
+
 def _ret(arr, scalar: bool):
     return float(arr) if scalar else arr
+
+
+def _never_exhausted(self, t):
+    """Never: these closed-form hazards stay defined where S underflows."""
+    t_arr, scalar = _prepare(t)
+    return False if scalar else np.zeros(t_arr.shape, dtype=bool)
 
 
 class ProcessingTimeDistribution(ABC):
@@ -76,9 +90,7 @@ class ProcessingTimeDistribution(ABC):
 
     def hazard(self, t):
         """h(t) = f(t) / S(t); raises once survival is exhausted."""
-        t_arr, scalar = _prepare(t)
-        if np.any(t_arr < 0.0):
-            raise DomainError(f"hazard undefined before the support: t={t!r}")
+        t_arr, scalar = _prepare_support(t, "hazard")
         s = np.asarray(self.survival(t_arr))
         if np.any(s <= EPS_SURVIVAL):
             raise ExhaustedSurvivalError(
@@ -87,48 +99,53 @@ class ProcessingTimeDistribution(ABC):
 
     def cum_hazard(self, t):
         """H(t) = -ln S(t)."""
-        t_arr, scalar = _prepare(t)
-        if np.any(t_arr < 0.0):
-            raise DomainError(
-                f"cumulative hazard undefined before the support: t={t!r}")
+        t_arr, scalar = _prepare_support(t, "cumulative hazard")
         s = np.asarray(self.survival(t_arr))
         if np.any(s <= EPS_SURVIVAL):
             raise ExhaustedSurvivalError(
                 f"cumulative hazard undefined: exhausted survival at t={t!r}")
         return _ret(-np.log(s), scalar)
 
+    def exhausted(self, t):
+        """Where S(t) <= EPS_SURVIVAL (finite t >= 0), so that ``hazard``
+        and ``cum_hazard`` raise; False where closed forms never raise."""
+        t_arr, scalar = _prepare(t)
+        out = np.asarray(self.survival(t_arr)) <= EPS_SURVIVAL
+        return bool(out) if scalar else out
+
     def quantile(self, q):
         """Smallest t with F(t) >= q, for 0 <= q < 1.
 
         Default implementation: bisection on an expanding bracket, absolute
         tolerance ``1e-10 * typical_scale``; safe because F is monotone.
+        All levels are bisected at once, each frozen once its bracket is.
         """
         q_arr, scalar = _prepare(q, "q")
         if np.any((q_arr < 0.0) | (q_arr >= 1.0)):
             raise DomainError(f"quantile level must be in [0, 1), got {q!r}")
-        out = np.empty_like(q_arr)
-        for idx, qi in np.ndenumerate(q_arr):
-            out[idx] = self._quantile_scalar(float(qi))
-        return _ret(out, scalar)
-
-    def _quantile_scalar(self, q: float) -> float:
-        if q <= 0.0:
-            return 0.0
-        lo, hi = 0.0, self.typical_scale
+        q = q_arr.reshape(-1)
+        lo = np.zeros(q.size)
+        hi = np.full(q.size, float(self.typical_scale))
+        grow = np.flatnonzero(q > 0.0)
         for _ in range(2000):
-            if float(self.cdf(hi)) >= q:
+            grow = grow[~(np.asarray(self.cdf(hi[grow])) >= q[grow])]
+            if grow.size == 0:
                 break
-            lo, hi = hi, hi * 2.0
+            lo[grow] = hi[grow]
+            hi[grow] = hi[grow] * 2.0
         else:
-            raise DomainError(f"quantile bracket did not close for q={q}")
+            raise DomainError(
+                f"quantile bracket did not close for q={float(q[grow[0]])}")
         tol = 1e-10 * self.typical_scale
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if float(self.cdf(mid)) >= q:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
+        live = np.flatnonzero((q > 0.0) & (hi - lo > tol))
+        while live.size:
+            mid = 0.5 * (lo[live] + hi[live])
+            upper = np.asarray(self.cdf(mid)) >= q[live]
+            hi[live[upper]] = mid[upper]
+            lo[live[~upper]] = mid[~upper]
+            live = live[hi[live] - lo[live] > tol]
+        out = np.where(q > 0.0, 0.5 * (lo + hi), 0.0).reshape(q_arr.shape)
+        return _ret(out, scalar)
 
     def breakpoints(self) -> tuple[float, ...]:
         """Interior points where f or F is not smooth (quadrature splits here)."""
@@ -188,9 +205,7 @@ class Weibull(ProcessingTimeDistribution):
 
     def hazard(self, t):
         """Closed form u k (u t)^(k-1); monotone in t with sign of (k - 1)."""
-        t_arr, scalar = _prepare(t)
-        if np.any(t_arr < 0.0):
-            raise DomainError(f"hazard undefined before the support: t={t!r}")
+        t_arr, scalar = _prepare_support(t, "hazard")
         if self.k < 1.0 and np.any(t_arr == 0.0):
             raise DomainError("Weibull hazard diverges at t=0 for k < 1")
         x = self.u * t_arr
@@ -202,13 +217,12 @@ class Weibull(ProcessingTimeDistribution):
         return _ret(out, scalar)
 
     def cum_hazard(self, t):
-        t_arr, scalar = _prepare(t)
-        if np.any(t_arr < 0.0):
-            raise DomainError(
-                f"cumulative hazard undefined before the support: t={t!r}")
+        t_arr, scalar = _prepare_support(t, "cumulative hazard")
         with np.errstate(over="ignore"):
             out = (self.u * t_arr) ** self.k
         return _ret(out, scalar)
+
+    exhausted = _never_exhausted
 
     def quantile(self, q):
         q_arr, scalar = _prepare(q, "q")
@@ -250,17 +264,14 @@ class Exponential(ProcessingTimeDistribution):
         return _ret(np.exp(-self.u * np.clip(t_arr, 0.0, None)), scalar)
 
     def hazard(self, t):
-        t_arr, scalar = _prepare(t)
-        if np.any(t_arr < 0.0):
-            raise DomainError(f"hazard undefined before the support: t={t!r}")
+        t_arr, scalar = _prepare_support(t, "hazard")
         return _ret(np.full_like(t_arr, self.u), scalar)
 
     def cum_hazard(self, t):
-        t_arr, scalar = _prepare(t)
-        if np.any(t_arr < 0.0):
-            raise DomainError(
-                f"cumulative hazard undefined before the support: t={t!r}")
+        t_arr, scalar = _prepare_support(t, "cumulative hazard")
         return _ret(self.u * t_arr, scalar)
+
+    exhausted = _never_exhausted
 
     def quantile(self, q):
         q_arr, scalar = _prepare(q, "q")
@@ -304,9 +315,7 @@ class Uniform(ProcessingTimeDistribution):
         return _ret(1.0 - np.clip(t_arr / self.v, 0.0, 1.0), scalar)
 
     def hazard(self, t):
-        t_arr, scalar = _prepare(t)
-        if np.any(t_arr < 0.0):
-            raise DomainError(f"hazard undefined before the support: t={t!r}")
+        t_arr, scalar = _prepare_support(t, "hazard")
         s = 1.0 - np.clip(t_arr / self.v, 0.0, 1.0)
         if np.any(s <= EPS_SURVIVAL):
             raise ExhaustedSurvivalError(
@@ -315,10 +324,7 @@ class Uniform(ProcessingTimeDistribution):
 
     def cum_hazard(self, t):
         """-ln(v - t) + ln v, valid for t < v only."""
-        t_arr, scalar = _prepare(t)
-        if np.any(t_arr < 0.0):
-            raise DomainError(
-                f"cumulative hazard undefined before the support: t={t!r}")
+        t_arr, scalar = _prepare_support(t, "cumulative hazard")
         if np.any(t_arr >= self.v):
             raise DomainError(
                 f"cumulative hazard undefined at t={t!r}: support ends at v={self.v}")

@@ -6,10 +6,10 @@ All sampling uses numpy's counter-based Philox generator, keyed per block
 via ``SeedSequence(entropy=seed, spawn_key=(block_index,))``.  Trials are
 laid out in fixed blocks of ``BLOCK_TRIALS``; trial ``i`` lives in block
 ``i // BLOCK_TRIALS`` and consumes that block's uniform draws at a fixed
-offset.  Blocks can therefore be generated in any order or sharded across
-workers, and the output for a given ``(seed, n)`` is bitwise identical
-regardless of worker count.  Family sampling is inverse-CDF through the
-closed-form quantiles, so the same uniforms drive every family.
+offset.  Blocks can therefore be generated in any order, and the output
+for a given ``(seed, n)`` is bitwise identical however they are scheduled.
+Family sampling is inverse-CDF through the closed-form quantiles, so the
+same uniforms drive every family.
 """
 
 from __future__ import annotations
@@ -100,13 +100,16 @@ class Trials:
     def __iter__(self) -> Iterator[TrialRecord]:
         return (self[i] for i in range(len(self)))
 
+    columns = ("trial", "order", "t1", "t2", "total_a", "total_b")
+
+    def rows(self) -> Iterator[tuple]:
+        return ((i, "b_first" if b_first else "a_first", t1, t2, ta, tb)
+                for i, (b_first, t1, t2, ta, tb) in enumerate(zip(
+                    self.order_b_first, self.t1, self.t2, self.total_a,
+                    self.total_b)))
+
     def to_csv(self, out) -> None:
-        write_rows_csv(
-            out,
-            ["trial", "order", "t1", "t2", "total_a", "total_b"],
-            ((str(i), "b_first" if self.order_b_first[i] else "a_first",
-              self.t1[i], self.t2[i], self.total_a[i], self.total_b[i])
-             for i in range(len(self))))
+        write_rows_csv(out, self.columns, self.rows())
 
 
 def simulate_serial(model: "SerialTwoModel", n_trials: int, seed: int) -> Trials:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -36,16 +35,19 @@ from .errors import DomainError, GridEvalError, QuadratureConvergenceError
 #: quadrature tolerance.
 SIGN_TOL = 1e-9
 
+_SIGNS = np.array(["negative", "zero", "positive"], dtype=object)
 
-def classify_sign(x: float, tol: float = SIGN_TOL) -> str:
-    """Classify ``x`` as 'negative', 'zero' or 'positive' under ``tol``."""
-    if math.isnan(x):
+
+def classify_sign(x, tol: float = SIGN_TOL):
+    """Classify ``x`` as 'negative', 'zero' or 'positive' under ``tol``.
+
+    A scalar gives a str and an array an object array of (shared) str;
+    +-inf classify by their sign and any nan raises :class:`DomainError`.
+    """
+    arr = np.asarray(x, dtype=float)
+    if np.isnan(arr).any():
         raise DomainError("cannot classify the sign of nan")
-    if x > tol:
-        return "positive"
-    if x < -tol:
-        return "negative"
-    return "zero"
+    return _SIGNS[1 + (arr > tol) - (arr < -tol).astype(int)]
 
 
 def fmt17(x: float) -> str:
@@ -310,24 +312,22 @@ class Axis:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """One or two axes evaluated over their cartesian product."""
+    """Two axes evaluated over their cartesian product."""
 
-    axes: tuple[Axis, ...]
+    axes: tuple[Axis, Axis]
 
     def __post_init__(self):
-        if not 1 <= len(self.axes) <= 2:
-            raise DomainError(f"GridSpec supports 1 or 2 axes, got {len(self.axes)}")
+        if len(self.axes) != 2:
+            raise DomainError(f"GridSpec needs 2 axes, got {len(self.axes)}")
 
     @property
-    def shape(self) -> tuple[int, ...]:
+    def shape(self) -> tuple[int, int]:
         return tuple(ax.steps for ax in self.axes)
 
-    def points(self) -> list[tuple[float, ...]]:
+    def points(self) -> list[tuple[float, float]]:
         """Row-major points: first axis varies slowest."""
-        vals = [ax.values() for ax in self.axes]
-        if len(vals) == 1:
-            return [(float(x),) for x in vals[0]]
-        return [(float(x), float(y)) for x in vals[0] for y in vals[1]]
+        xs, ys = (ax.values().tolist() for ax in self.axes)
+        return [(x, y) for x in xs for y in ys]
 
 
 @dataclass
@@ -337,22 +337,15 @@ class GridResult:
     grid: GridSpec
     values: np.ndarray = field(repr=False)
 
+    columns = ("axis1", "axis2", "value")
+
+    def rows(self) -> Iterable[list]:
+        """``axis1, axis2, value`` rows in row-major order."""
+        return ([*point, val] for point, val
+                in zip(self.grid.points(), self.values.reshape(-1).tolist()))
+
     def to_csv(self, out) -> None:
-        """Write ``axis1[,axis2],value`` rows in row-major order."""
-        close = False
-        if isinstance(out, (str, bytes)):
-            out = open(out, "w", newline="")
-            close = True
-        try:
-            headers = [f"axis{i + 1}" for i in range(len(self.grid.axes))]
-            out.write(",".join(headers + ["value"]) + "\n")
-            flat = self.values.reshape(-1)
-            for point, val in zip(self.grid.points(), flat):
-                cols = [fmt17(c) for c in point] + [fmt17(val)]
-                out.write(",".join(cols) + "\n")
-        finally:
-            if close:
-                out.close()
+        write_rows_csv(out, self.columns, self.rows())
 
     def to_csv_string(self) -> str:
         buf = io.StringIO()
@@ -360,55 +353,15 @@ class GridResult:
         return buf.getvalue()
 
 
-def _cell_error(grid: GridSpec, point: tuple[float, ...],
-                exc: BaseException) -> GridEvalError:
-    names = ", ".join(f"{ax.name}={c!r}" for ax, c in zip(grid.axes, point))
-    return GridEvalError(f"grid cell ({names}) failed: {exc}", point=point)
-
-
-def grid_eval(fn: Callable[..., float], grid: GridSpec,
-              workers: int | None = None) -> GridResult:
-    """Evaluate ``fn`` at every grid point.
-
-    Cells may be evaluated concurrently (``workers`` is a hint), but the
-    result is always assembled in cell-index order, so the output is
-    deterministic regardless of worker count.  The first failing cell (in
-    index order) is reported with its coordinates.
-    """
-    points = grid.points()
-    values = np.empty(len(points), dtype=float)
-    errors: dict[int, BaseException] = {}
-
-    def run(idx: int) -> None:
-        try:
-            values[idx] = fn(*points[idx])
-        except BaseException as exc:  # noqa: BLE001 - reported with coordinates
-            errors[idx] = exc
-
-    if workers is None or workers <= 1:
-        for idx in range(len(points)):
-            run(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(len(points))))
-
-    if errors:
-        idx = min(errors)
-        raise _cell_error(grid, points[idx], errors[idx]) from errors[idx]
-    return GridResult(grid=grid, values=values.reshape(grid.shape))
-
-
-def grid_eval_rows(fn: Callable[[float, np.ndarray], np.ndarray],
-                   grid: GridSpec) -> GridResult:
-    """Evaluate a two-axis grid one first-axis row at a time.
+def grid_eval(fn: Callable[[float, np.ndarray], np.ndarray],
+              grid: GridSpec) -> GridResult:
+    """Evaluate a grid one first-axis row at a time.
 
     ``fn(x, ys)`` returns the whole row at ``x`` over the array ``ys`` of
     second-axis values.  When a row fails, its cells are evaluated one at
-    a time to report the first failing cell (in index order) with its
-    coordinates, as :func:`grid_eval` does.
+    a time so that the first failing cell (in row-major order) is reported
+    with its coordinates.
     """
-    if len(grid.axes) != 2:
-        raise DomainError(f"grid_eval_rows needs 2 axes, got {len(grid.axes)}")
     xs, ys = (ax.values() for ax in grid.axes)
     values = np.empty(grid.shape)
     for i, x in enumerate(xs):
@@ -419,13 +372,17 @@ def grid_eval_rows(fn: Callable[[float, np.ndarray], np.ndarray],
                 try:
                     fn(float(x), ys[j:j + 1])
                 except Exception as exc:
-                    raise _cell_error(grid, (float(x), float(ys[j])), exc) from exc
+                    point = (float(x), float(ys[j]))
+                    names = ", ".join(f"{ax.name}={c!r}"
+                                      for ax, c in zip(grid.axes, point))
+                    raise GridEvalError(f"grid cell ({names}) failed: {exc}",
+                                        point=point) from exc
             raise
     return GridResult(grid=grid, values=values)
 
 
 def write_rows_csv(out, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows of floats/strings with 17-digit float formatting."""
+    """Write rows of strings, ints and 17-digit floats."""
     close = False
     if isinstance(out, (str, bytes)):
         out = open(out, "w", newline="")
@@ -433,7 +390,8 @@ def write_rows_csv(out, header: Sequence[str], rows: Iterable[Sequence]) -> None
     try:
         out.write(",".join(header) + "\n")
         for row in rows:
-            cols = [c if isinstance(c, str) else fmt17(c) for c in row]
+            cols = [c if isinstance(c, str) else str(c) if isinstance(c, int)
+                    else fmt17(c) for c in row]
             out.write(",".join(cols) + "\n")
     finally:
         if close:

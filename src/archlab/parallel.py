@@ -17,20 +17,27 @@ has the same sign as
     expr4 = -2 H(t) + H(T_a + t) - H(T_a) = int_0^t [alpha(s, T_a+s) - 2] h(s) ds.
 
 Because the sign condition is an integral over s in [0, t], a single-point
-alpha can misclassify; records therefore carry the extrema of alpha over
-the integration range alongside the displayed alpha at (t, T_a), and flag
-cells where the single-point reading contradicts the actual sign.
+alpha can misclassify; grid records therefore flag cells where the
+displayed alpha at (t, T_a) contradicts the actual sign, and
+:func:`alpha_extrema` gives the extrema of alpha over the integration range
+on demand.
+
+The gap, expr4 and alpha take scalars (and return floats) or broadcastable
+arrays of (t, T_a) (and return arrays); a grid is one array call.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .distributions import ProcessingTimeDistribution, EPS_SURVIVAL
-from .errors import ConditioningError, DomainError, GridEvalError
+from .errors import (ConditioningError, DomainError, ExhaustedSurvivalError,
+                     GridEvalError)
 from .numerics import GridSpec, classify_sign, write_rows_csv
 
 
@@ -92,41 +99,129 @@ def ict_survival_trend(model: ParallelTwoModel, t_a: float, t: float,
     return classify_sign(h_a - h_b, tol * (1.0 + abs(h_a) + abs(h_b)))
 
 
-def hazard_ratio_alpha(model: ParallelTwoModel, t: float, t_a: float) -> float:
-    """alpha(t, T_a + t) = h(T_a + t) / h(t)."""
-    h_t = float(model.dist.hazard(t))
-    if h_t <= 0.0:
-        raise DomainError(f"hazard ratio undefined: h(t)={h_t} at t={t}")
-    h_shift = float(model.dist.hazard(t_a + t))
-    return h_shift / h_t
+def _exp(x: np.ndarray) -> np.ndarray:
+    # math.exp per element, not np.exp: numpy's SIMD exp differs from the C
+    # library's by 1 ulp on a few percent of cells (603 of 10^4 on the
+    # Weibull(2, 1) grid, 874 on the Uniform(2) one), which would change the
+    # printed gaps
+    return np.fromiter(map(math.exp, x.tolist()), float, x.size)
+
+
+def _cells(t, t_a) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """(t, T_a) broadcast to one shape and flattened, and that shape;
+    raises :class:`DomainError` at the first negative or non-finite cell."""
+    t, t_a = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                 np.asarray(t_a, dtype=float))
+    shape, t, t_a = t.shape, t.ravel(), t_a.ravel()
+    bad = ~(np.isfinite(t) & np.isfinite(t_a) & (t >= 0.0) & (t_a >= 0.0))
+    if bad.any():
+        raise DomainError("t and T_a must be finite and nonnegative, got "
+                          "t={!r}, T_a={!r}".format(*_first(t, t_a, bad)))
+    return t, t_a, shape
+
+
+def _first(t, t_a, bad) -> tuple[float, float, int]:
+    """t, T_a and index of the first cell of ``bad`` in row-major order."""
+    i = int(np.argmax(bad))
+    return float(t[i]), float(t_a[i]), i
+
+
+def _shaped(x: np.ndarray, shape: tuple[int, ...]):
+    """A flat result in the caller's shape; a float for scalar inputs."""
+    return float(x[0]) if shape == () else x.reshape(shape)
+
+
+def _masked(fn, x: np.ndarray, use: np.ndarray) -> np.ndarray:
+    """``fn(x)`` where ``use``, nan elsewhere (array hazards raise for the
+    whole array if one point is undefined, so those points are left out)."""
+    out = np.full(x.shape, np.nan)
+    out[use] = fn(x[use])
+    return out
+
+
+def _hazard(dist: ProcessingTimeDistribution, x: np.ndarray) -> np.ndarray:
+    """h(x) at x >= 0; nan where survival is exhausted or where the hazard
+    diverges at the origin (Weibull k < 1)."""
+    h = _masked(dist.hazard, x, (x > 0.0) & ~dist.exhausted(x))
+    with suppress(DomainError):
+        h[x == 0.0] = dist.hazard(0.0)
+    return h
+
+
+def _alpha(dist: ProcessingTimeDistribution, t: np.ndarray,
+           t_a: np.ndarray) -> np.ndarray:
+    """alpha at every cell; nan where h(t) <= 0 or a hazard is undefined."""
+    h_t, h_shift = _hazard(dist, t), _hazard(dist, t_a + t)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(h_t > 0.0, h_shift / h_t, np.nan)
+
+
+def hazard_ratio_alpha(model: ParallelTwoModel, t, t_a):
+    """alpha(t, T_a + t) = h(T_a + t) / h(t).
+
+    ``t`` and ``t_a`` are scalars (a float is returned) or broadcastable
+    arrays (an array is returned).  Raises :class:`DomainError` naming the
+    first cell where h(t) is not positive or a hazard is undefined.
+    """
+    t, t_a, shape = _cells(t, t_a)
+    alpha = _alpha(model.dist, t, t_a)
+    if np.isnan(alpha).any():
+        raise DomainError("hazard ratio undefined at t={!r}, T_a={!r}: h(t) is "
+                          "not positive or a hazard is undefined".format(
+                              *_first(t, t_a, np.isnan(alpha))))
+    return _shaped(alpha, shape)
 
 
 @dataclass(frozen=True)
 class StageGap:
-    gap: float
-    expr4: float
+    gap: float | np.ndarray
+    expr4: float | np.ndarray
 
 
-def stage_survival_gap(model: ParallelTwoModel, t: float, t_a: float) -> StageGap:
+def _stage_gap(dist: ProcessingTimeDistribution, t: np.ndarray,
+               t_a: np.ndarray):
+    """gap, expr4 and the exhausted cells of flat (t, T_a) arrays.
+
+    A cell is exhausted when survival is exhausted at t, at T_a or at a
+    T_a + t inside the support; its gap and expr4 are nan.
+    """
+    exhausted = dist.exhausted(t) | dist.exhausted(t_a)
+    shift = t_a + t
+    inside = ~exhausted & (shift < dist.support_upper)
+    exhausted[inside] = dist.exhausted(shift[inside])
+    inside &= ~exhausted
+    h_t = _masked(dist.cum_hazard, t, ~exhausted)
+    h_a = _masked(dist.cum_hazard, t_a, ~exhausted)
+    h_at = _masked(dist.cum_hazard, shift, inside)
+    first = _exp(-2.0 * h_t)
+    with np.errstate(invalid="ignore"):
+        # beyond a bounded support end the second-stage survival is 0
+        expr4 = np.where(inside, -2.0 * h_t + h_at - h_a,
+                         np.where(exhausted, math.nan, math.inf))
+        gap = np.where(inside, first - _exp(-(h_at - h_a)), first)
+    return gap, expr4, exhausted
+
+
+_EXHAUSTED = "cumulative hazard undefined: exhausted survival at t={!r}, T_a={!r}"
+
+
+def stage_survival_gap(model: ParallelTwoModel, t, t_a) -> StageGap:
     """First-stage survival S(t)^2 minus second-stage conditional survival.
 
     ``gap = exp(-2 H(t)) - exp(-(H(T_a+t) - H(T_a)))``; ``expr4`` is the
     cumulative-hazard combination carrying the same sign.  When T_a + t
     reaches a bounded support end (with t and T_a themselves inside), the
     second-stage survival is exactly zero: gap = S(t)^2 and expr4 = +inf.
+    ``t`` and ``t_a`` are scalars (floats are returned) or broadcastable
+    arrays (arrays are returned); :class:`DomainError` names the first
+    failing cell.
     """
-    if not (math.isfinite(t) and math.isfinite(t_a)):
-        raise DomainError(f"t and T_a must be finite, got t={t}, T_a={t_a}")
-    if t < 0 or t_a < 0:
-        raise DomainError(f"t and T_a must be nonnegative, got t={t}, T_a={t_a}")
-    h_t = float(model.dist.cum_hazard(t))
-    h_a = float(model.dist.cum_hazard(t_a))
-    if t_a + t >= model.dist.support_upper:
-        return StageGap(gap=math.exp(-2.0 * h_t), expr4=math.inf)
-    h_at = float(model.dist.cum_hazard(t_a + t))
-    expr4 = -2.0 * h_t + h_at - h_a
-    gap = math.exp(-2.0 * h_t) - math.exp(-(h_at - h_a))
-    return StageGap(gap=gap, expr4=expr4)
+    t, t_a, shape = _cells(t, t_a)
+    gap, expr4, exhausted = _stage_gap(model.dist, t, t_a)
+    if exhausted.any():
+        raise ExhaustedSurvivalError(
+            _EXHAUSTED.format(*_first(t, t_a, exhausted)))
+    return StageGap(gap=_shaped(gap, shape), expr4=_shaped(expr4, shape))
 
 
 def alpha_extrema(model: ParallelTwoModel, t: float, t_a: float,
@@ -162,8 +257,6 @@ class StageSurvivalRecord:
     t: float
     ta: float
     alpha: float
-    alpha_min: float
-    alpha_max: float
     expr4: float
     gap: float
     sign: str
@@ -172,54 +265,61 @@ class StageSurvivalRecord:
 
 @dataclass
 class StageSurvivalGrid:
+    """Row-major (t, T_a) grid columns, one array each; t varies slowest."""
+
     model: ParallelTwoModel
-    records: list[StageSurvivalRecord]
+    t: np.ndarray
+    ta: np.ndarray
+    alpha: np.ndarray
+    expr4: np.ndarray
+    gap: np.ndarray
+    sign: np.ndarray
+    pointwise_disagrees: np.ndarray
+
+    columns = ("t", "Ta", "alpha", "expr4", "gap", "sign")
+
+    @property
+    def records(self) -> list[StageSurvivalRecord]:
+        return list(map(StageSurvivalRecord, *(c.tolist() for c in (
+            self.t, self.ta, self.alpha, self.expr4, self.gap, self.sign,
+            self.pointwise_disagrees))))
 
     def signs(self) -> list[str]:
-        return [r.sign for r in self.records]
+        return self.sign.tolist()
+
+    def rows(self) -> Iterable[tuple]:
+        return zip(*(c.tolist() for c in (self.t, self.ta, self.alpha,
+                                           self.expr4, self.gap, self.sign)))
 
     def to_csv(self, out) -> None:
-        write_rows_csv(
-            out,
-            ["t", "Ta", "alpha", "expr4", "gap", "sign"],
-            ([r.t, r.ta, r.alpha, r.expr4, r.gap, r.sign]
-             for r in self.records))
+        write_rows_csv(out, self.columns, self.rows())
 
 
-def stage_survival_grid(model: ParallelTwoModel, t_values, ta_values,
-                        alpha_samples: int = 33) -> StageSurvivalGrid:
+def stage_survival_grid(model: ParallelTwoModel, t_values,
+                        ta_values) -> StageSurvivalGrid:
     """Evaluate the stage-survival gap over the (t, T_a) product grid.
 
-    The stored ``sign`` is classified from expr4, which stays well scaled
-    where the doubly exponentiated gap underflows; the two quantities
-    carry the same sign by construction.
+    One array call covers the grid.  The stored ``sign`` is classified from
+    expr4, which stays well scaled where the doubly exponentiated gap
+    underflows; the two quantities carry the same sign by construction.
+    alpha is nan where it is undefined.  The first cell whose survival is
+    exhausted or whose expr4 is nan raises :class:`GridEvalError`; a
+    negative or non-finite coordinate raises :class:`DomainError`.
     """
-    records = []
-    for t in np.asarray(t_values, dtype=float):
-        t = float(t)
-        for ta in np.asarray(ta_values, dtype=float):
-            ta = float(ta)
-            try:
-                res = stage_survival_gap(model, t, ta)
-            except DomainError as exc:
-                raise GridEvalError(
-                    f"grid cell (t={t!r}, Ta={ta!r}) failed: {exc}",
-                    point=(t, ta)) from exc
-            try:
-                alpha = hazard_ratio_alpha(model, t, ta)
-            except DomainError:
-                alpha = math.nan
-            a_min, a_max = alpha_extrema(model, t, ta, alpha_samples)
-            sign = classify_sign(res.expr4) if math.isfinite(res.expr4) \
-                else ("positive" if res.expr4 > 0 else "negative")
-            disagrees = (math.isfinite(alpha)
-                         and ((alpha >= 2.0 and sign == "negative")
-                              or (alpha < 2.0 and sign == "positive")))
-            records.append(StageSurvivalRecord(
-                t=t, ta=ta, alpha=alpha, alpha_min=a_min, alpha_max=a_max,
-                expr4=res.expr4, gap=res.gap, sign=sign,
-                pointwise_disagrees=disagrees))
-    return StageSurvivalGrid(model=model, records=records)
+    t, ta, _ = _cells(*np.meshgrid(np.asarray(t_values, dtype=float),
+                                   np.asarray(ta_values, dtype=float),
+                                   indexing="ij"))
+    gap, expr4, exhausted = _stage_gap(model.dist, t, ta)
+    if np.isnan(expr4).any():
+        t_i, ta_i, i = _first(t, ta, np.isnan(expr4))
+        reason = _EXHAUSTED.format(t_i, ta_i) if exhausted[i] else "expr4 is nan"
+        raise GridEvalError(f"grid cell (t={t_i!r}, Ta={ta_i!r}) failed: {reason}",
+                            point=(t_i, ta_i))
+    alpha = _alpha(model.dist, t, ta)
+    sign = classify_sign(expr4)
+    disagrees = np.isfinite(alpha) & np.where(alpha >= 2.0, sign == "negative",
+                                              sign == "positive")
+    return StageSurvivalGrid(model, t, ta, alpha, expr4, gap, sign, disagrees)
 
 
 @dataclass(frozen=True)
@@ -239,33 +339,13 @@ def classify_stage_trend(model: ParallelTwoModel,
     ``second_stage_slower`` means the gap is negative wherever it is
     resolvable (second-stage survival exceeds the first-stage survival, so
     stage 2 takes longer); ``second_stage_faster`` is the reverse; mixed
-    regions report one witness point of each sign.  Cells with t = 0 are
-    degenerate (the gap is identically zero for every model) and count as
-    zero cells.
+    regions report the first (row-major) witness point of each sign.  Cells
+    with t = 0 are degenerate (the gap is identically zero for every model)
+    and count as zero cells.
     """
-    if len(region.axes) != 2:
-        raise DomainError("classify_stage_trend needs a (t, T_a) region")
-    pos_w = neg_w = None
-    n_pos = n_neg = n_zero = 0
-    for t, ta in region.points():
-        try:
-            res = stage_survival_gap(model, t, ta)
-        except DomainError as exc:
-            raise GridEvalError(
-                f"grid cell (t={t!r}, Ta={ta!r}) failed: {exc}",
-                point=(t, ta)) from exc
-        sign = classify_sign(res.expr4) if math.isfinite(res.expr4) \
-            else ("positive" if res.expr4 > 0 else "negative")
-        if sign == "positive":
-            n_pos += 1
-            if pos_w is None:
-                pos_w = (t, ta, res.gap)
-        elif sign == "negative":
-            n_neg += 1
-            if neg_w is None:
-                neg_w = (t, ta, res.gap)
-        else:
-            n_zero += 1
+    grid = stage_survival_grid(model, *(ax.values() for ax in region.axes))
+    signs = grid.signs()
+    n_pos, n_neg = signs.count("positive"), signs.count("negative")
     if n_pos and n_neg:
         trend = "mixed"
     elif n_neg:
@@ -274,6 +354,14 @@ def classify_stage_trend(model: ParallelTwoModel,
         trend = "second_stage_faster"
     else:
         raise DomainError("region produced no resolvable sign information")
-    return TrendClassification(trend=trend, positive_witness=pos_w,
-                               negative_witness=neg_w, n_positive=n_pos,
-                               n_negative=n_neg, n_zero=n_zero)
+
+    def witness(sign: str) -> tuple[float, float, float] | None:
+        if sign not in signs:
+            return None
+        i = signs.index(sign)
+        return (float(grid.t[i]), float(grid.ta[i]), float(grid.gap[i]))
+
+    return TrendClassification(trend=trend, positive_witness=witness("positive"),
+                               negative_witness=witness("negative"),
+                               n_positive=n_pos, n_negative=n_neg,
+                               n_zero=signs.count("zero"))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -128,18 +128,18 @@ class RecallTrials:
         """Cumulative completion times by stage, per trial."""
         return np.cumsum(self.icts, axis=1)
 
-    def to_csv(self, out) -> None:
+    columns = ("trial", "position", "item", "ict", "cumulative_time")
+
+    def rows(self) -> Iterator[tuple]:
         """Long format: one row per (trial, stage); positions are 1-based."""
-        totals = self.totals()
+        for i, (items, icts, totals) in enumerate(zip(
+                self.orders, self.icts, self.totals())):
+            for j, row in enumerate(zip(items.tolist(), icts.tolist(),
+                                        totals.tolist()), start=1):
+                yield (i, j) + row
 
-        def rows():
-            for i in range(len(self)):
-                for j in range(self.n_items):
-                    yield (str(i), str(j + 1), str(int(self.orders[i, j])),
-                           self.icts[i, j], totals[i, j])
-
-        write_rows_csv(out, ["trial", "position", "item", "ict",
-                             "cumulative_time"], rows())
+    def to_csv(self, out) -> None:
+        write_rows_csv(out, self.columns, self.rows())
 
 
 def sample_vu_serial(model: RecallModel, n_trials: int, seed: int) -> RecallTrials:

@@ -24,7 +24,7 @@ whose sign equals the sign of D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -169,16 +169,18 @@ class DependenceProfile:
     model: SerialTwoModel
     points: list[DependencePoint]
 
+    columns = ("tau", "F", "conv", "marginal_a", "marginal_b", "R",
+               "difference", "sign")
+
     def signs(self) -> list[str]:
         return [pt.sign for pt in self.points]
 
+    def rows(self) -> Iterable[list]:
+        return ([pt.tau, pt.f, pt.conv, pt.marginal_a, pt.marginal_b, pt.r,
+                 pt.difference, pt.sign] for pt in self.points)
+
     def to_csv(self, out) -> None:
-        write_rows_csv(
-            out,
-            ["tau", "F", "conv", "marginal_a", "marginal_b", "R",
-             "difference", "sign"],
-            ([pt.tau, pt.f, pt.conv, pt.marginal_a, pt.marginal_b, pt.r,
-              pt.difference, pt.sign] for pt in self.points))
+        write_rows_csv(out, self.columns, self.rows())
 
 
 def dependence_profile(model: SerialTwoModel, taus: Sequence[float] | np.ndarray,
@@ -193,12 +195,9 @@ def dependence_profile(model: SerialTwoModel, taus: Sequence[float] | np.ndarray
     taus = np.asarray(taus, dtype=float).reshape(-1)
     f_val, conv, marginal_a, marginal_b = _components(model, taus, cfg)
     diff = _checked_difference(model, taus, f_val, conv, marginal_a, marginal_b)
-    points = [DependencePoint(
-        tau=float(t), f=float(f), conv=float(c), marginal_a=float(ma),
-        marginal_b=float(mb), r=float(c / ma), r_prime=float(1.0 / ma),
-        difference=float(d), sign=classify_sign(float(d)))
-        for t, f, c, ma, mb, d in zip(taus, f_val, conv, marginal_a,
-                                      marginal_b, diff)]
+    points = list(map(DependencePoint, *(a.tolist() for a in (
+        taus, f_val, conv, marginal_a, marginal_b, conv / marginal_a,
+        1.0 / marginal_a, diff, classify_sign(diff)))))
     return DependenceProfile(model=model, points=points)
 
 

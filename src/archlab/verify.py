@@ -17,7 +17,7 @@ from scipy import stats
 
 from . import mc, recall
 from .distributions import Exponential, Uniform, Weibull
-from .numerics import convolve_cdf
+from .numerics import classify_sign, convolve_cdf
 from .parallel import (ParallelTwoModel, alpha_extrema, conditional_ict_survival,
                        parallel_dependence_difference, stage_survival_gap)
 from .serial import (SerialTwoModel, _components, dependence_difference,
@@ -129,28 +129,18 @@ def _check_parallel_zero() -> CheckResult:
                        worst <= 1e-12, f"max |difference| = {worst:.3e} (tol 1e-12)")
 
 
-def _sign_of(x: float, tol: float = 1e-9) -> int:
-    if x > tol:
-        return 1
-    if x < -tol:
-        return -1
-    return 0
-
-
 def _check_gap_sign_consistency() -> CheckResult:
     contradictions = 0
     points = 0
     for model, t_hi in ((ParallelTwoModel(Weibull(2.0, 1.0)), 10.0),
                         (ParallelTwoModel(Weibull(4.0, 1.0)), 10.0),
                         (ParallelTwoModel(Uniform(2.0)), 1.0)):
-        for t in np.linspace(0.0, t_hi, 40):
-            for ta in np.linspace(0.0, t_hi, 40):
-                res = stage_survival_gap(model, float(t), float(ta))
-                sg, se = _sign_of(res.gap), _sign_of(
-                    res.expr4 if math.isfinite(res.expr4) else 1.0)
-                points += 1
-                if sg * se < 0 or (sg != se and sg != 0 and se != 0):
-                    contradictions += 1
+        axis = np.linspace(0.0, t_hi, 40)
+        res = stage_survival_gap(model, axis[:, None], axis[None, :])
+        sg, se = classify_sign(res.gap), classify_sign(res.expr4)
+        points += sg.size
+        contradictions += int(np.count_nonzero(
+            (sg != se) & (sg != "zero") & (se != "zero")))
     return CheckResult("analysis", "gap_expr4_sign_consistency",
                        contradictions == 0,
                        f"{contradictions} contradictions over {points} points")
@@ -163,17 +153,17 @@ def _check_hazard_ratio_threshold() -> CheckResult:
                         (ParallelTwoModel(Weibull(0.5, 1.0)), 6.0),
                         (ParallelTwoModel(Exponential(1.0)), 6.0),
                         (ParallelTwoModel(Uniform(2.0)), 0.95)):
-        for t in np.linspace(0.05, t_hi, 15):
-            for ta in np.linspace(0.0, t_hi, 15):
-                a_min, a_max = alpha_extrema(model, float(t), float(ta))
-                if not math.isfinite(a_min):
-                    continue
-                res = stage_survival_gap(model, float(t), float(ta))
-                checked += 1
-                if a_min >= 2.0 and res.gap < -1e-9:
-                    violations += 1
-                if a_max < 2.0 and res.gap >= 1e-9:
-                    violations += 1
+        t_axis, ta_axis = np.linspace(0.05, t_hi, 15), np.linspace(0.0, t_hi, 15)
+        gaps = stage_survival_gap(model, t_axis[:, None], ta_axis[None, :]).gap
+        for (i, j), gap in np.ndenumerate(gaps):
+            a_min, a_max = alpha_extrema(model, float(t_axis[i]), float(ta_axis[j]))
+            if not math.isfinite(a_min):
+                continue
+            checked += 1
+            if a_min >= 2.0 and gap < -1e-9:
+                violations += 1
+            if a_max < 2.0 and gap >= 1e-9:
+                violations += 1
     return CheckResult("analysis", "stage_gap_hazard_ratio_threshold",
                        violations == 0,
                        f"{violations} violations over {checked} classified points")

@@ -5,6 +5,7 @@ import pytest
 
 from archlab import cli, mc
 from archlab.distributions import Exponential
+from archlab.numerics import fmt17
 
 
 def run(argv, capsys):
@@ -174,6 +175,24 @@ class TestStageSurvival:
         assert set(rows[0]) == {"t", "Ta", "alpha", "expr4", "gap", "sign"}
 
 
+    @pytest.mark.parametrize("flags", [
+        ["--steps", "-1"], ["--steps", "0"], ["--steps", "1"],
+        ["--t-min", "5", "--t-max", "1"], ["--ta-min", "2", "--ta-max", "2"],
+        ["--t-min", "4"],  # above the default --t-max of 3
+    ])
+    def test_axis_usage_errors(self, flags, capsys):
+        code, out, err = run(["stage-survival", "--dist", "weibull:k=2,u=1"]
+                             + flags, capsys)
+        assert code == 1 and out == ""
+        assert "--steps must be >= 2" in err or "must exceed" in err
+
+    def test_nan_cell_exit_2(self, capsys):
+        code, out, err = run(["stage-survival", "--dist", "weibull:k=1000,u=1",
+                              "--steps", "3"], capsys)
+        assert code == 2 and out == ""
+        assert "grid cell (t=0.0, Ta=3.0) failed: expr4 is nan" in err
+
+
 class TestSimulate:
     def test_serial_csv(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -254,3 +273,33 @@ class TestVerifyAndUsage:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+
+def _json_cells(value) -> str:
+    """A parsed JSON value written as the CSV writes it."""
+    if isinstance(value, float):
+        return fmt17(value)
+    return str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig7", "--steps", "4"],
+    ["dependence", "--dist", "weibull:k=2,u=1", "--steps", "6"],
+    ["stage-survival", "--dist", "uniform:v=2", "--t-max", "1.5",
+     "--ta-max", "1.5", "--steps", "4"],
+    ["simulate", "serial", "--dist", "exp:u=1", "--n", "6"],
+    ["simulate", "parallel", "--dist", "weibull:k=0.5,u=1", "--n", "6"],
+    ["simulate", "recall-serial", "--rates", "2,1,0.5", "--n", "4"],
+    ["simulate", "recall-parallel", "--rates", "2,1", "--n", "4"],
+])
+def test_json_rows_equal_csv_rows(argv, capsys):
+    code, csv_out, _ = run(argv, capsys)
+    assert code == 0
+    code, json_out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    header, *lines = csv_out.splitlines()
+    rows = json.loads(json_out)["rows"]
+    assert len(rows) == len(lines) > 0
+    for row, line in zip(rows, lines):
+        assert ",".join(row) == header
+        assert ",".join(_json_cells(v) for v in row.values()) == line

@@ -211,6 +211,25 @@ class TestCustomDistribution:
             custom.hazard(100.0)
         assert EPS_SURVIVAL == 1e-300
 
+    def test_exhausted_marks_where_hazards_raise(self):
+        custom = HalfNormalish(1.0)
+        assert custom.exhausted(np.array([1.0, 100.0])).tolist() == [False, True]
+        assert Uniform(2.0).exhausted(2.0) and not Uniform(2.0).exhausted(1.9)
+        # the closed-form Weibull hazards stay defined where S underflows
+        assert not Weibull(2.0, 1.0).exhausted(100.0)
+        assert Weibull(2.0, 1.0).cum_hazard(100.0) == 10000.0
+
+    def test_array_quantile_matches_scalar_calls(self):
+        # levels whose brackets close after different numbers of doublings
+        custom = HalfNormalish(1.3)
+        q = np.array([[0.0, 1e-12, 0.05], [0.5, 0.95, 0.999999]])
+        values = custom.quantile(q)
+        assert values.shape == q.shape
+        for idx, level in np.ndenumerate(q):
+            assert values[idx] == custom.quantile(float(level))  # bitwise
+        assert values[0, 0] == 0.0
+        assert np.all(np.abs(values - Weibull(2.0, 1.3).quantile(q)) <= 1e-8)
+
 
 class TestSpecStrings:
     def test_parse_valid(self):

@@ -9,8 +9,7 @@ from archlab.distributions import Exponential, Uniform, Weibull
 from archlab.errors import (DomainError, GridEvalError,
                             QuadratureConvergenceError)
 from archlab.numerics import (Axis, GridSpec, QuadratureConfig, classify_sign,
-                              convolve_cdf, fmt17, grid_eval,
-                              grid_eval_rows, integrate)
+                              convolve_cdf, fmt17, grid_eval, integrate)
 from archlab.parallel import ParallelTwoModel, stage_survival_gap
 from archlab.serial import expression3
 
@@ -165,31 +164,24 @@ class TestConvolveCdf:
 class TestGrids:
     def test_constant_grid(self):
         grid = GridSpec(axes=(Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 3)))
-        res = grid_eval(lambda x, y: 4.2, grid)
+        res = grid_eval(lambda x, ys: np.full_like(ys, 4.2), grid)
         assert res.values.shape == (3, 3)
         assert np.all(res.values == 4.2)
-
-    def test_worker_count_does_not_change_output(self):
-        grid = GridSpec(axes=(Axis("x", 0.0, 2.0, 11), Axis("y", 0.0, 3.0, 7)))
-        fn = lambda x, y: math.sin(x) * y + x
-        seq = grid_eval(fn, grid, workers=1)
-        par = grid_eval(fn, grid, workers=4)
-        assert np.array_equal(seq.values, par.values)
 
     def test_first_error_reported_with_coordinates(self):
         grid = GridSpec(axes=(Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 3)))
 
-        def fn(x, y):
+        def row(x, ys):
             if x > 0.4:
                 raise DomainError("boom")
-            return 0.0
+            return np.zeros_like(ys)
 
-        with pytest.raises(GridEvalError, match="x=0.5"):
-            grid_eval(fn, grid)
+        with pytest.raises(GridEvalError, match=r"x=0\.5, y=0\.0"):
+            grid_eval(row, grid)
 
     def test_csv_format_and_roundtrip(self):
         grid = GridSpec(axes=(Axis("a", 0.0, 1.0, 2), Axis("b", 0.0, 1.0, 2)))
-        res = grid_eval(lambda a, b: a + b / 3.0, grid)
+        res = grid_eval(lambda a, bs: a + bs / 3.0, grid)
         text = res.to_csv_string()
         lines = text.strip().split("\n")
         assert lines[0] == "axis1,axis2,value"
@@ -202,26 +194,19 @@ class TestGrids:
         # sign pattern of the p = 1/2 kernel on a subsampled u x tau grid
         grid = GridSpec(axes=(Axis("u", 0.5, 10.0, 12), Axis("tau", 0.01, 5.0, 12)))
 
-        def cell(u, tau):
+        def row(u, taus):
             dist = Weibull(1.5, u)
-            return expression3(float(dist.cdf(tau)), convolve_cdf(dist, tau))
+            return expression3(dist.cdf(taus), convolve_cdf(dist, taus))
 
-        res = grid_eval(cell, grid)
+        res = grid_eval(row, grid)
         assert float(res.values.min()) > -1e-9
 
     def test_figure6_grid_k2_both_signs(self):
         model = ParallelTwoModel(Weibull(2.0, 1.0))
         grid = GridSpec(axes=(Axis("t", 0.0, 10.0, 15), Axis("Ta", 0.0, 10.0, 15)))
-        res = grid_eval(lambda t, ta: stage_survival_gap(model, t, ta).expr4, grid)
+        res = grid_eval(lambda t, tas: stage_survival_gap(model, t, tas).expr4, grid)
         assert float(res.values.min()) < -1e-9
         assert float(res.values.max()) > 1e-9
-
-    def test_rows_match_cells(self):
-        grid = GridSpec(axes=(Axis("x", 0.0, 2.0, 5), Axis("y", 0.0, 3.0, 4)))
-        rows = grid_eval_rows(lambda x, ys: np.sin(x) * ys + x, grid)
-        cells = grid_eval(lambda x, y: float(np.sin(x) * y + x), grid)
-        assert np.array_equal(rows.values, cells.values)
-        assert rows.to_csv_string() == cells.to_csv_string()
 
     def test_rows_first_failing_cell_reported(self):
         grid = GridSpec(axes=(Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 3)))
@@ -232,7 +217,7 @@ class TestGrids:
             return np.zeros_like(ys)
 
         with pytest.raises(GridEvalError, match=r"x=0\.5, y=1\.0") as err:
-            grid_eval_rows(row, grid)
+            grid_eval(row, grid)
         assert err.value.point == (0.5, 1.0)
 
     def test_axis_validation(self):
@@ -240,6 +225,8 @@ class TestGrids:
             Axis("x", 1.0, 1.0, 5)
         with pytest.raises(DomainError):
             Axis("x", 0.0, 1.0, 1)
+        with pytest.raises(DomainError, match="2 axes"):
+            GridSpec(axes=(Axis("x", 0.0, 1.0, 2),))
 
 
 def test_classify_sign():

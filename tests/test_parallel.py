@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from archlab import mc
-from archlab.distributions import Exponential, Uniform, Weibull
-from archlab.errors import ConditioningError, DomainError, GridEvalError
+from archlab.distributions import (Exponential, ProcessingTimeDistribution,
+                                   Uniform, Weibull)
+from archlab.errors import (ConditioningError, DomainError,
+                            ExhaustedSurvivalError, GridEvalError)
 from archlab.numerics import Axis, GridSpec
 from archlab.parallel import (ParallelTwoModel, alpha_extrema,
                               classify_stage_trend, conditional_ict_survival,
@@ -223,6 +225,90 @@ class TestStageGap:
         assert a_min < 2.0 < a_max
 
 
+class ExpOnlyPdfCdf(ProcessingTimeDistribution):
+    """Exponential(1) through pdf and cdf only: survival 1 - F(t) is
+    exhausted (rounds to 0) once e^-t < 2^-54, i.e. for t above ~37.4."""
+
+    def pdf(self, t):
+        return np.exp(-np.clip(np.asarray(t, dtype=float), 0.0, None))
+
+    def cdf(self, t):
+        return -np.expm1(-np.clip(np.asarray(t, dtype=float), 0.0, None))
+
+
+def _per_cell(fn, t, ta):
+    return np.array([[fn(float(x), float(y)) for y in ta] for x in t])
+
+
+class TestArrayPath:
+    """One array call over a grid equals the scalar calls, bit for bit."""
+
+    @pytest.mark.parametrize("dist,hi", [(Weibull(2.0, 1.0), 10.0),
+                                         (Uniform(2.0), 1.0)])
+    def test_gap_and_alpha_bitwise(self, dist, hi):
+        model = ParallelTwoModel(dist)
+        axis = np.linspace(0.0, hi, 21)
+        res = stage_survival_gap(model, axis[:, None], axis[None, :])
+        assert res.gap.shape == res.expr4.shape == (21, 21)
+        assert np.array_equal(res.gap, _per_cell(
+            lambda t, ta: stage_survival_gap(model, t, ta).gap, axis, axis))
+        assert np.array_equal(res.expr4, _per_cell(
+            lambda t, ta: stage_survival_gap(model, t, ta).expr4, axis, axis))
+        # alpha needs h(t) > 0 and h(T_a + t) defined (T_a + t < v)
+        t_pos, ta_in = axis[1:], axis[:-1]
+        alpha = hazard_ratio_alpha(model, t_pos[:, None], ta_in[None, :])
+        assert np.array_equal(alpha, _per_cell(
+            lambda t, ta: hazard_ratio_alpha(model, t, ta), t_pos, ta_in))
+
+    def test_uniform_support_end_cells(self):
+        model = ParallelTwoModel(Uniform(2.0))
+        axis = np.linspace(0.0, 1.0, 21)
+        res = stage_survival_gap(model, axis[:, None], axis[None, :])
+        assert np.isposinf(res.expr4[-1, -1])  # T_a + t = v
+        assert res.gap[-1, -1] == stage_survival_gap(model, 1.0, 1.0).gap == 0.25
+        assert np.isfinite(res.expr4[:-1]).all() and np.isfinite(res.expr4[:, :-1]).all()
+        grid = stage_survival_grid(model, axis, axis)
+        last = grid.records[-1]
+        assert (last.t, last.ta, last.sign) == (1.0, 1.0, "positive")
+        assert math.isnan(last.alpha)  # h(T_a + t) undefined at v
+
+    def test_pdf_cdf_only_with_one_exhausted_cell(self):
+        model = ParallelTwoModel(ExpOnlyPdfCdf())
+        axis = np.linspace(0.0, 19.0, 5)  # only T_a + t = 38 is exhausted
+        t, ta = (a.ravel() for a in np.meshgrid(axis, axis, indexing="ij"))
+        with pytest.raises(ExhaustedSurvivalError, match="t=19.0, T_a=19.0"):
+            stage_survival_gap(model, t, ta)
+        with pytest.raises(ExhaustedSurvivalError):
+            stage_survival_gap(model, 19.0, 19.0)
+        with pytest.raises(DomainError):
+            hazard_ratio_alpha(model, 19.0, 19.0)
+        with pytest.raises(GridEvalError, match=r"t=19\.0, Ta=19\.0") as err:
+            stage_survival_grid(model, axis, axis)
+        assert err.value.point == (19.0, 19.0)
+        t, ta = t[:-1], ta[:-1]
+        res = stage_survival_gap(model, t, ta)
+        for i in range(t.size):
+            cell = stage_survival_gap(model, float(t[i]), float(ta[i]))
+            assert (res.gap[i], res.expr4[i]) == (cell.gap, cell.expr4)
+        pos = t > 0
+        alpha = hazard_ratio_alpha(model, t[pos], ta[pos])
+        assert alpha.tolist() == [hazard_ratio_alpha(model, float(x), float(y))
+                                  for x, y in zip(t[pos], ta[pos])]
+
+    def test_scalars_give_floats(self):
+        model = ParallelTwoModel(Weibull(2.0, 1.0))
+        res = stage_survival_gap(model, 0.5, 1.0)
+        assert type(res.gap) is float and type(res.expr4) is float
+        assert type(hazard_ratio_alpha(model, 0.5, 1.0)) is float
+
+    def test_array_errors_name_first_cell(self):
+        model = ParallelTwoModel(Weibull(2.0, 1.0))
+        with pytest.raises(DomainError, match="t=-1.0, T_a=2.0"):
+            stage_survival_gap(model, [1.0, -1.0, -2.0], 2.0)
+        with pytest.raises(DomainError, match="t=0.0, T_a=1.0"):
+            hazard_ratio_alpha(model, [1.0, 0.0], 1.0)
+
+
 class TestStageGrid:
     def test_records_and_disagreement_flag(self):
         model = ParallelTwoModel(Uniform(2.0))
@@ -230,7 +316,8 @@ class TestStageGrid:
         rec = grid.records[0]
         assert rec.sign == "negative"
         assert rec.pointwise_disagrees
-        assert rec.alpha_min < 2.0 < rec.alpha_max
+        a_min, a_max = alpha_extrema(model, rec.t, rec.ta)
+        assert a_min < 2.0 < a_max
 
     def test_csv_columns(self):
         model = ParallelTwoModel(Exponential(1.0))
@@ -246,6 +333,15 @@ class TestStageGrid:
         model = ParallelTwoModel(Uniform(2.0))
         with pytest.raises(GridEvalError, match="t=2.5"):
             stage_survival_grid(model, [2.5], [0.1])
+
+    def test_nan_expr4_raises_naming_first_nan_cell(self):
+        # (3^1000 overflows: H(T_a + t) - H(T_a) is inf - inf at (0, 3)
+        model = ParallelTwoModel(Weibull(1000.0, 1.0))
+        axis = [0.0, 1.5, 3.0]
+        with pytest.raises(GridEvalError, match=r"t=0\.0, Ta=3\.0.*nan") as err:
+            stage_survival_grid(model, axis, axis)
+        assert err.value.point == (0.0, 3.0)
+        assert math.isnan(stage_survival_gap(model, 0.0, 3.0).expr4)
 
 
 class TestClassifyTrend:
@@ -274,6 +370,23 @@ class TestClassifyTrend:
         res = classify_stage_trend(ParallelTwoModel(Uniform(2.0)),
                                    self.region(0.0, 1.0))
         assert res.trend == "mixed"
+
+    def test_nan_expr4_raises_instead_of_counting_negative(self):
+        region = GridSpec(axes=(Axis("t", 0.0, 3.0, 3), Axis("Ta", 0.0, 3.0, 3)))
+        with pytest.raises(GridEvalError, match=r"t=0\.0, Ta=3\.0") as err:
+            classify_stage_trend(ParallelTwoModel(Weibull(1000.0, 1.0)), region)
+        assert err.value.point == (0.0, 3.0)
+
+    def test_witnesses_are_first_cells_of_each_sign(self):
+        model = ParallelTwoModel(Weibull(4.0, 1.0))
+        region = self.region(0.0, 10.0)
+        res = classify_stage_trend(model, region)
+        records = stage_survival_grid(model, *(ax.values() for ax in region.axes)).records
+        for sign, witness in (("positive", res.positive_witness),
+                              ("negative", res.negative_witness)):
+            rec = next(r for r in records if r.sign == sign)
+            assert witness == (rec.t, rec.ta, rec.gap)
+        assert (res.n_positive + res.n_negative + res.n_zero) == len(records)
 
     def test_exponential_slower(self):
         res = classify_stage_trend(ParallelTwoModel(Exponential(1.0)),
