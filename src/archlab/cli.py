@@ -23,7 +23,7 @@ import numpy as np
 from . import mc, recall, verify
 from .distributions import (ProcessingTimeDistribution, Uniform,
                             Weibull, parse_spec)
-from .errors import ArchlabError, DistSpecError, UsageError
+from .errors import ArchlabError, DistSpecError, DomainError, UsageError
 from .numerics import Axis, GridSpec, convolve_cdf, fmt17, grid_eval
 from .parallel import ParallelTwoModel, stage_survival_gap, stage_survival_grid
 from .serial import SerialTwoModel, dependence_profile, expression3
@@ -205,7 +205,10 @@ def _cmd_figure(args) -> int:
                               Axis("Ta", lo, hi, steps)))
 
         def row(t: float, tas: np.ndarray) -> np.ndarray:
-            return stage_survival_gap(model, t, tas).expr4
+            expr4 = stage_survival_gap(model, t, tas).expr4
+            if np.isnan(expr4).any():  # no sign: fail, as stage-survival does
+                raise DomainError("expr4 is nan")
+            return expr4
 
     return _write_table(args, grid_eval(row, grid), figure=args.id)
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateDataError, DomainError
 from .mc import uniform_blocks
@@ -239,11 +238,23 @@ class MleFit:
                 "n": n, "seed": seed}
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a finite 1-D array, in ``scipy.special.logsumexp``'s
+    arithmetic (scipy 1.17) so that fits match it bit for bit: the m entries
+    equal to the maximum leave the sum, and the rest, scaled by 1/m, enter
+    through log1p."""
+    a_max = a.max()
+    at_max = a == a_max
+    m = float(np.count_nonzero(at_max))
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum() / m
+    return float(np.log1p(s) + np.log(m) + a_max)
+
+
 def _profile_loglik(log_t: np.ndarray, k: float) -> float:
     # u(k) = (mean(t^k))^(-1/k) makes sum((u t)^k) = n exactly, so
     # l(k) = n log k + n k log u + (k - 1) sum(log t) - n
     n = log_t.size
-    log_mean_tk = logsumexp(k * log_t) - math.log(n)
+    log_mean_tk = _logsumexp(k * log_t) - math.log(n)
     log_u = -log_mean_tk / k
     return n * math.log(k) + n * k * log_u + (k - 1.0) * float(log_t.sum()) - n
 
@@ -303,7 +314,7 @@ def weibull_mle(data) -> MleFit:
         iters += extra
 
     pegged = k_hat - _K_LO < 1e-6 or _K_HI - k_hat < 1e-6 * _K_HI
-    log_mean_tk = logsumexp(k_hat * log_t) - math.log(t.size)
+    log_mean_tk = _logsumexp(k_hat * log_t) - math.log(t.size)
     u_hat = math.exp(-log_mean_tk / k_hat)
     return MleFit(k_hat=k_hat, u_hat=u_hat,
                   loglik=loglik_weibull(t, k_hat, u_hat),

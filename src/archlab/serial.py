@@ -23,11 +23,11 @@ whose sign equals the sign of D.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .distributions import (Exponential, ProcessingTimeDistribution, Uniform,
                             Weibull)
@@ -216,8 +216,8 @@ def analytic_stage_variance(dist: ProcessingTimeDistribution) -> float | None:
     if isinstance(dist, Uniform):
         return dist.v ** 2 / 12.0
     if isinstance(dist, Weibull):
-        g1 = _gamma(1.0 + 1.0 / dist.k)
-        g2 = _gamma(1.0 + 2.0 / dist.k)
+        g1 = math.gamma(1.0 + 1.0 / dist.k)
+        g2 = math.gamma(1.0 + 2.0 / dist.k)
         return (g2 - g1 * g1) / dist.u ** 2
     return None
 

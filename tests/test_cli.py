@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +66,13 @@ class TestFigures:
                            capsys)
         assert code == 2
         assert "grid cell (u=0.5, tau=0.01) failed" in err
+
+    def test_fig6_nan_cell_exit_2(self, capsys):
+        # 5^1000 overflows: H(T_a + t) - H(T_a) is inf - inf at (0, 5)
+        code, out, err = run(["figure", "fig6", "--k", "1000", "--steps", "3"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert "grid cell (t=0.0, Ta=5.0) failed: expr4 is nan" in err
 
     def test_fig4_json_matches_csv(self, capsys):
         code, csv_out, _ = run(["figure", "fig4", "--steps", "4"], capsys)
@@ -303,3 +313,17 @@ def test_json_rows_equal_csv_rows(argv, capsys):
     for row, line in zip(rows, lines):
         assert ",".join(row) == header
         assert ",".join(_json_cells(v) for v in row.values()) == line
+
+
+class TestStartup:
+    def test_commands_do_not_import_scipy(self):
+        # scipy costs about 1 s of start-up; only verify's recall-equivalence
+        # check imports it, inside the check
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "import archlab, archlab.cli; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        done = subprocess.run([sys.executable, "-c", code, str(src)],
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"

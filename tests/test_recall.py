@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 from scipy import stats
+from scipy.special import logsumexp as scipy_logsumexp
 
 from archlab import mc, recall
 from archlab.distributions import Exponential, Weibull
@@ -230,6 +231,47 @@ class TestWeibullLoglik:
             recall.loglik_weibull([1.0], 0.0, 1.0)
         with pytest.raises(DomainError):
             recall.loglik_weibull([1.0], 1.0, -1.0)
+
+
+class TestLogSumExp:
+    """The private logsumexp repeats scipy's arithmetic bit for bit, so that
+    fits (and the ``fit`` output) do not depend on which one is used."""
+
+    def test_single_element(self):
+        for x in (-700.0, -1.5, 0.0, 3.25, 700.0):
+            a = np.array([x])
+            assert recall._logsumexp(a) == scipy_logsumexp(a) == x
+
+    def test_repeated_maxima(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 7, 64, 301):
+            a = np.round(rng.normal(0.0, 4.0, n), 1)
+            a[rng.integers(0, n, size=3)] = a.max()
+            assert recall._logsumexp(a) == scipy_logsumexp(a)
+            assert recall._logsumexp(np.full(n, -2.5)) == \
+                scipy_logsumexp(np.full(n, -2.5))
+
+    def test_wide_spreads(self):
+        rng = np.random.default_rng(12)
+        for n in (100, 257, 400, 999):
+            for scale in (1e-3, 1.0, 30.0, 300.0):
+                a = rng.normal(0.0, scale, n)
+                assert recall._logsumexp(a) == scipy_logsumexp(a)
+            # values spread over several hundred below a maximum near 0,
+            # where the log1p form and a plain log(sum) differ
+            for width in (1.0, 30.0, 300.0, 700.0):
+                a = -rng.uniform(0.0, width, n)
+                a[rng.integers(n)] = rng.normal(0.0, 1e-3)
+                assert recall._logsumexp(a) == scipy_logsumexp(a)
+
+    def test_mle_identical_with_scipy_logsumexp(self, monkeypatch):
+        samples = [np.random.default_rng(seed).weibull(k, 2000) / u
+                   for seed, k, u in ((1, 1.3, 0.5), (2, 0.4, 2.0),
+                                      (3, 2.5, 1.0), (4, 6.0, 0.2),
+                                      (5, 1.0, 3.0))]
+        ours = [recall.weibull_mle(t) for t in samples]
+        monkeypatch.setattr(recall, "_logsumexp", scipy_logsumexp)
+        assert [recall.weibull_mle(t) for t in samples] == ours
 
 
 class TestWeibullMle:

@@ -9,9 +9,10 @@ from archlab.distributions import Exponential, Uniform, Weibull
 from archlab.errors import (ConditioningError, DomainError,
                             OrderingViolationError)
 from archlab.numerics import convolve_cdf
-from archlab.serial import (SerialTwoModel, dependence_difference,
-                            dependence_profile, expression3,
-                            fixed_order_covariance, marginal_completion_cdf)
+from archlab.serial import (SerialTwoModel, analytic_stage_variance,
+                            dependence_difference, dependence_profile,
+                            expression3, fixed_order_covariance,
+                            marginal_completion_cdf)
 
 
 def exp_difference(u, p, tau):
@@ -281,6 +282,23 @@ class TestFixedOrderCovariance:
         expected = gamma(2.0) - gamma(1.5) ** 2
         assert res.analytic_var == pytest.approx(expected, rel=1e-12)
         assert res.cov_estimate == pytest.approx(expected, abs=0.005)
+
+    # Var(z) for the verify and test Weibull shapes (and one k < 1) against
+    # 50-digit mpmath values (mpmath.gamma, dps 50) and against the
+    # scipy.special.gamma route it replaced.  The two gamma routes differ by
+    # at most an ulp, but g2 - g1^2 cancels (about 4.7x at k = 2), so they
+    # agree to 2e-15, not 1e-15; both are within 7e-16 of the exact value.
+    @pytest.mark.parametrize("k, u, exact", [
+        (1.4, 1.5, 0.19339155645336909473),
+        (2.0, 1.0, 0.21460183660255169038),
+        (0.7, 1.0, 3.426835553653154048),
+    ])
+    def test_weibull_variance_math_gamma(self, k, u, exact):
+        from scipy.special import gamma
+        var = analytic_stage_variance(Weibull(k, u))
+        assert var == pytest.approx(exact, rel=1e-15, abs=0.0)
+        scipy_var = (gamma(1.0 + 2.0 / k) - gamma(1.0 + 1.0 / k) ** 2) / u ** 2
+        assert var == pytest.approx(scipy_var, rel=2e-15, abs=0.0)
 
     def test_needs_two_trials(self):
         with pytest.raises(DomainError):
