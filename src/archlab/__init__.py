@@ -6,7 +6,7 @@ a Weibull maximum-likelihood fitting pipeline.
 from .distributions import (EPS_SURVIVAL, Exponential,
                             ProcessingTimeDistribution, Uniform, Weibull,
                             parse_spec)
-from .mc import (DEFAULT_SEED, RngState, Theorem1Result, TrialRecord, Trials,
+from .mc import (DEFAULT_SEED, RngState, Theorem1Result, Trials,
                  empirical_dependence, run_theorem1_mc, sample_iid,
                  simulate_parallel, simulate_serial)
 from .numerics import (Axis, GridResult, GridSpec, QuadratureConfig,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "EPS_SURVIVAL", "Exponential", "ProcessingTimeDistribution", "Uniform",
     "Weibull", "parse_spec", "DEFAULT_SEED", "RngState",
-    "Theorem1Result", "TrialRecord", "Trials", "empirical_dependence",
+    "Theorem1Result", "Trials", "empirical_dependence",
     "run_theorem1_mc", "sample_iid", "simulate_parallel", "simulate_serial",
     "Axis", "GridResult", "GridSpec", "QuadratureConfig", "classify_sign",
     "convolve_cdf", "grid_eval", "integrate", "ParallelTwoModel", "StageGap",

@@ -12,9 +12,10 @@ Exit codes: 0 success, 1 usage error, 2 domain or convergence error,
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -24,35 +25,27 @@ from . import mc, recall, verify
 from .distributions import (ProcessingTimeDistribution, Uniform,
                             Weibull, parse_spec)
 from .errors import ArchlabError, DistSpecError, DomainError, UsageError
-from .numerics import Axis, GridSpec, convolve_cdf, fmt17, grid_eval
+from .numerics import (Axis, GridSpec, convolve_cdf, fmt17, grid_eval,
+                       write_table)
 from .parallel import ParallelTwoModel, stage_survival_gap, stage_survival_grid
 from .serial import SerialTwoModel, dependence_profile, expression3
 
 _FIG_DEFAULT_K = {"fig4": 0.5, "fig5": 0.2, "fig6": 2.0}
 
 
-def _json_17g(obj) -> str:
-    """JSON with floats rendered at 17 significant digits."""
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(k)}: {_json_17g(v)}" for k, v in obj.items())
-        return "{" + ", ".join(items) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_17g(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return fmt17(obj)
-        return json.dumps(obj)  # Infinity / -Infinity / NaN, as json does
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def _open_out(out_path: str | None):
+    """The ``--out`` file opened for writing, or stdout for none or ``-``."""
+    if out_path is None or out_path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out_path, "w", newline="")
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}") from exc
 
 
 def _write_text(out_path: str | None, text: str) -> None:
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+    with _open_out(out_path) as fh:
+        fh.write(text)
 
 
 def _parse_dist(spec: str) -> ProcessingTimeDistribution:
@@ -138,26 +131,27 @@ def _build_parser() -> _Parser:
 
 
 def _write_table(args, result, **head) -> int:
-    """Write a result's ``rows()`` as CSV, or as JSON objects keyed by its
+    """Stream a result's ``table()`` as CSV, or as JSON objects keyed by its
     ``columns`` (after the ``head`` entries)."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        result.to_csv(buf)
-        _write_text(args.out, buf.getvalue())
-    else:
-        rows = [dict(zip(result.columns, row)) for row in result.rows()]
-        _write_text(args.out, _json_17g({**head, "rows": rows}) + "\n")
+    with _open_out(args.out) as fh:
+        write_table(fh, result.columns, result.table(),
+                    None if args.format == "csv" else head)
     return 0
 
 
 def _write_report(args, payload: dict) -> int:
-    """Write a one-row report as CSV or as a JSON object."""
-    if args.format == "csv":
-        cells = (fmt17(v) if isinstance(v, float) else json.dumps(v)
-                 for v in payload.values())
-        _write_text(args.out, ",".join(payload) + "\n" + ",".join(cells) + "\n")
+    """Write a one-row report as CSV or as a JSON object: floats at 17
+    significant digits (non-finite ones as json spells them, in JSON) and
+    everything else as JSON literals."""
+    csv = args.format == "csv"
+    cells = [fmt17(v) if isinstance(v, float) and (csv or math.isfinite(v))
+             else json.dumps(v) for v in payload.values()]
+    if csv:
+        text = ",".join(payload) + "\n" + ",".join(cells) + "\n"
     else:
-        _write_text(args.out, _json_17g(payload) + "\n")
+        text = "{" + ", ".join(f"{json.dumps(k)}: {c}"
+                               for k, c in zip(payload, cells)) + "}\n"
+    _write_text(args.out, text)
     return 0
 
 
@@ -343,7 +337,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "fit": _cmd_fit,
             "verify": _cmd_verify,
         }[args.command]
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left early (`| head`): not a failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from .errors import ConditioningError, DomainError, McError
-from .numerics import write_rows_csv
+from .numerics import write_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .distributions import ProcessingTimeDistribution
@@ -69,18 +69,12 @@ def sample_iid(dist: "ProcessingTimeDistribution", n_trials: int,
     return out
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    order: str  # 'a_first' | 'b_first'
-    t1: float
-    t2: float
-    total_a: float
-    total_b: float
+_ORDERS = np.array(["a_first", "b_first"], dtype=object)
 
 
 @dataclass
 class Trials:
-    """Column-oriented trial batch; index it for single records."""
+    """Column-oriented trial batch."""
 
     order_b_first: np.ndarray  # bool per trial
     t1: np.ndarray
@@ -91,25 +85,15 @@ class Trials:
     def __len__(self) -> int:
         return self.t1.shape[0]
 
-    def __getitem__(self, i: int) -> TrialRecord:
-        return TrialRecord(
-            order="b_first" if self.order_b_first[i] else "a_first",
-            t1=float(self.t1[i]), t2=float(self.t2[i]),
-            total_a=float(self.total_a[i]), total_b=float(self.total_b[i]))
-
-    def __iter__(self) -> Iterator[TrialRecord]:
-        return (self[i] for i in range(len(self)))
-
     columns = ("trial", "order", "t1", "t2", "total_a", "total_b")
 
-    def rows(self) -> Iterator[tuple]:
-        return ((i, "b_first" if b_first else "a_first", t1, t2, ta, tb)
-                for i, (b_first, t1, t2, ta, tb) in enumerate(zip(
-                    self.order_b_first, self.t1, self.t2, self.total_a,
-                    self.total_b)))
+    def table(self) -> tuple[np.ndarray, ...]:
+        """The ``columns``; ``order`` is an object array of two shared str."""
+        return (np.arange(len(self)), _ORDERS[self.order_b_first.view(np.uint8)],
+                self.t1, self.t2, self.total_a, self.total_b)
 
     def to_csv(self, out) -> None:
-        write_rows_csv(out, self.columns, self.rows())
+        write_table(out, self.columns, self.table())
 
 
 def simulate_serial(model: "SerialTwoModel", n_trials: int, seed: int) -> Trials:

@@ -19,9 +19,10 @@ exceeds their share of the tolerance are bisected.
 
 from __future__ import annotations
 
-import io
+import json
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -231,7 +232,9 @@ def convolve_cdf(dist: ProcessingTimeDistribution, tau,
         out = conv.reshape(-1)
         for start in range(0, flat.size, _CELLS_PER_PASS):
             part = flat[start:start + _CELLS_PER_PASS]
-            pos = np.flatnonzero(part > 0.0)
+            # the split form needs tau/2 > 0: the smallest subnormal tau,
+            # whose half rounds to 0, keeps conv = 0 like tau = 0
+            pos = np.flatnonzero(0.5 * part > 0.0)
             out[start + pos] = _numeric_conv(dist, part[pos], cfg)
     return float(conv) if taus.ndim == 0 else conv
 
@@ -324,11 +327,6 @@ class GridSpec:
     def shape(self) -> tuple[int, int]:
         return tuple(ax.steps for ax in self.axes)
 
-    def points(self) -> list[tuple[float, float]]:
-        """Row-major points: first axis varies slowest."""
-        xs, ys = (ax.values().tolist() for ax in self.axes)
-        return [(x, y) for x in xs for y in ys]
-
 
 @dataclass
 class GridResult:
@@ -339,18 +337,13 @@ class GridResult:
 
     columns = ("axis1", "axis2", "value")
 
-    def rows(self) -> Iterable[list]:
-        """``axis1, axis2, value`` rows in row-major order."""
-        return ([*point, val] for point, val
-                in zip(self.grid.points(), self.values.reshape(-1).tolist()))
+    def table(self) -> tuple[np.ndarray, ...]:
+        """The ``columns`` in row-major order: the first axis varies slowest."""
+        xs, ys = (ax.values() for ax in self.grid.axes)
+        return np.repeat(xs, ys.size), np.tile(ys, xs.size), self.values.reshape(-1)
 
     def to_csv(self, out) -> None:
-        write_rows_csv(out, self.columns, self.rows())
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
+        write_table(out, self.columns, self.table())
 
 
 def grid_eval(fn: Callable[[float, np.ndarray], np.ndarray],
@@ -381,18 +374,60 @@ def grid_eval(fn: Callable[[float, np.ndarray], np.ndarray],
     return GridResult(grid=grid, values=values)
 
 
+#: Rows formatted per write; bounds what a table write holds at once.
+_CHUNK_ROWS = 512
+
+_SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}  # by dtype kind; others %s
+_JSON_NONFINITE = ((": nan", ": NaN"), (": inf", ": Infinity"),
+                   (": -inf", ": -Infinity"))
+
+
+def write_table(out, names: Sequence[str], cols: Sequence,
+                head: dict | None = None) -> None:
+    """Stream equal-length columns to ``out``, a path or a text stream.
+
+    ``head=None`` writes CSV; a dict of str writes the JSON object
+    ``{**head, "rows": [...]}`` with one object per row.  Each column's
+    dtype picks its %-format spec: ``%.17g`` for floats (it round-trips),
+    ``%d`` for ints and ``%s`` for labels, quoted but not escaped in JSON.
+    JSON spells non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``,
+    as :mod:`json` does.
+    """
+    n = len(cols[0]) if len(cols) else 0
+    if any(len(c) != n for c in cols):
+        raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
+    _write_chunks(out, names, ([c[i:i + _CHUNK_ROWS] for c in cols]
+                               for i in range(0, n, _CHUNK_ROWS)), head)
+
+
 def write_rows_csv(out, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows of strings, ints and 17-digit floats."""
-    close = False
+    """Write rows of strings, ints and 17-digit floats as CSV: each chunk of
+    rows is transposed into the columns :func:`write_table` formats."""
+    rows = iter(rows)
+    _write_chunks(out, header,
+                  iter(lambda: list(zip(*islice(rows, _CHUNK_ROWS))), []), None)
+
+
+def _write_chunks(out, names, chunks, head) -> None:
+    """:func:`write_table` from an iterable of column-slice chunks."""
     if isinstance(out, (str, bytes)):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            cols = [c if isinstance(c, str) else str(c) if isinstance(c, int)
-                    else fmt17(c) for c in row]
-            out.write(",".join(cols) + "\n")
-    finally:
-        if close:
-            out.close()
+        with open(out, "w", newline="") as fh:
+            return _write_chunks(fh, names, chunks, head)
+    csv = head is None
+    out.write(",".join(names) + "\n" if csv else "{" + "".join(
+        f"{json.dumps(k)}: {json.dumps(v)}, " for k, v in head.items()) + '"rows": [')
+    sep = "" if csv else ", "
+    for i, part in enumerate(chunks):
+        part = [np.asarray(c) for c in part]
+        specs = [_SPECS.get(c.dtype.kind, "%s" if csv else '"%s"') for c in part]
+        row = ",".join(specs) + "\n" if csv else "{" + ", ".join(
+            f"{json.dumps(k)}: {spec}" for k, spec in zip(names, specs)) + "}"
+        flat = [None] * (len(part) * len(part[0]))
+        for j, c in enumerate(part):
+            flat[j::len(part)] = c.tolist()
+        text = sep.join([row] * len(part[0])) % tuple(flat)
+        if not csv:  # json's spelling of the nan and inf %.17g writes
+            for bad, good in _JSON_NONFINITE:
+                text = text.replace(bad, good)
+        out.write((sep if i else "") + text)
+    out.write("" if csv else "]}\n")

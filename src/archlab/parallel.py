@@ -17,8 +17,8 @@ has the same sign as
     expr4 = -2 H(t) + H(T_a + t) - H(T_a) = int_0^t [alpha(s, T_a+s) - 2] h(s) ds.
 
 Because the sign condition is an integral over s in [0, t], a single-point
-alpha can misclassify; grid records therefore flag cells where the
-displayed alpha at (t, T_a) contradicts the actual sign, and
+alpha can misclassify; the grid's ``pointwise_disagrees`` column flags cells
+where the displayed alpha at (t, T_a) contradicts the actual sign, and
 :func:`alpha_extrema` gives the extrema of alpha over the integration range
 on demand.
 
@@ -31,14 +31,13 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .distributions import ProcessingTimeDistribution, EPS_SURVIVAL
 from .errors import (ConditioningError, DomainError, ExhaustedSurvivalError,
                      GridEvalError)
-from .numerics import GridSpec, classify_sign, write_rows_csv
+from .numerics import GridSpec, classify_sign, write_table
 
 
 @dataclass(frozen=True)
@@ -252,17 +251,6 @@ def alpha_extrema(model: ParallelTwoModel, t: float, t_a: float,
     return (float(np.min(ratios)), float(np.max(ratios)))
 
 
-@dataclass(frozen=True)
-class StageSurvivalRecord:
-    t: float
-    ta: float
-    alpha: float
-    expr4: float
-    gap: float
-    sign: str
-    pointwise_disagrees: bool
-
-
 @dataclass
 class StageSurvivalGrid:
     """Row-major (t, T_a) grid columns, one array each; t varies slowest."""
@@ -278,21 +266,14 @@ class StageSurvivalGrid:
 
     columns = ("t", "Ta", "alpha", "expr4", "gap", "sign")
 
-    @property
-    def records(self) -> list[StageSurvivalRecord]:
-        return list(map(StageSurvivalRecord, *(c.tolist() for c in (
-            self.t, self.ta, self.alpha, self.expr4, self.gap, self.sign,
-            self.pointwise_disagrees))))
-
     def signs(self) -> list[str]:
         return self.sign.tolist()
 
-    def rows(self) -> Iterable[tuple]:
-        return zip(*(c.tolist() for c in (self.t, self.ta, self.alpha,
-                                           self.expr4, self.gap, self.sign)))
+    def table(self) -> tuple[np.ndarray, ...]:
+        return self.t, self.ta, self.alpha, self.expr4, self.gap, self.sign
 
     def to_csv(self, out) -> None:
-        write_rows_csv(out, self.columns, self.rows())
+        write_table(out, self.columns, self.table())
 
 
 def stage_survival_grid(model: ParallelTwoModel, t_values,

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .mc import uniform_blocks
-from .numerics import write_rows_csv
+from .numerics import write_table
 
 _K_LO = 0.05
 _K_HI = 50.0
@@ -129,16 +129,16 @@ class RecallTrials:
 
     columns = ("trial", "position", "item", "ict", "cumulative_time")
 
-    def rows(self) -> Iterator[tuple]:
-        """Long format: one row per (trial, stage); positions are 1-based."""
-        for i, (items, icts, totals) in enumerate(zip(
-                self.orders, self.icts, self.totals())):
-            for j, row in enumerate(zip(items.tolist(), icts.tolist(),
-                                        totals.tolist()), start=1):
-                yield (i, j) + row
+    def table(self) -> tuple[np.ndarray, ...]:
+        """The ``columns`` in long format: one row per (trial, stage), with
+        1-based positions."""
+        n_trials, n = self.orders.shape
+        return (np.repeat(np.arange(n_trials), n),
+                np.tile(np.arange(1, n + 1), n_trials), self.orders.reshape(-1),
+                self.icts.reshape(-1), self.totals().reshape(-1))
 
     def to_csv(self, out) -> None:
-        write_rows_csv(out, self.columns, self.rows())
+        write_table(out, self.columns, self.table())
 
 
 def sample_vu_serial(model: RecallModel, n_trials: int, seed: int) -> RecallTrials:

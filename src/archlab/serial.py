@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .distributions import (Exponential, ProcessingTimeDistribution, Uniform,
 from .errors import (ConditioningError, ConsistencyError, DomainError,
                      OrderingViolationError)
 from .numerics import (DEFAULT_QUADRATURE, QuadratureConfig, classify_sign,
-                       convolve_cdf, write_rows_csv)
+                       convolve_cdf, write_table)
 
 #: Two algebraically identical routes to the dependence difference must
 #: agree at least this well; they share all inputs, so only floating-point
@@ -148,39 +148,34 @@ def expression3(f_val, conv_val):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class DependencePoint:
-    """One profile row; ``r_prime`` is 1/marginal_a (the exponential
-    closed-form tests target it directly)."""
-
-    tau: float
-    f: float
-    conv: float
-    marginal_a: float
-    marginal_b: float
-    r: float
-    r_prime: float
-    difference: float
-    sign: str
-
-
 @dataclass
 class DependenceProfile:
+    """Profile columns over tau, one array each; ``r_prime`` is 1/marginal_a
+    (the exponential closed-form tests target it directly)."""
+
     model: SerialTwoModel
-    points: list[DependencePoint]
+    tau: np.ndarray
+    f: np.ndarray
+    conv: np.ndarray
+    marginal_a: np.ndarray
+    marginal_b: np.ndarray
+    r: np.ndarray
+    r_prime: np.ndarray
+    difference: np.ndarray
+    sign: np.ndarray
 
     columns = ("tau", "F", "conv", "marginal_a", "marginal_b", "R",
                "difference", "sign")
 
     def signs(self) -> list[str]:
-        return [pt.sign for pt in self.points]
+        return self.sign.tolist()
 
-    def rows(self) -> Iterable[list]:
-        return ([pt.tau, pt.f, pt.conv, pt.marginal_a, pt.marginal_b, pt.r,
-                 pt.difference, pt.sign] for pt in self.points)
+    def table(self) -> tuple[np.ndarray, ...]:
+        return (self.tau, self.f, self.conv, self.marginal_a, self.marginal_b,
+                self.r, self.difference, self.sign)
 
     def to_csv(self, out) -> None:
-        write_rows_csv(out, self.columns, self.rows())
+        write_table(out, self.columns, self.table())
 
 
 def dependence_profile(model: SerialTwoModel, taus: Sequence[float] | np.ndarray,
@@ -195,10 +190,9 @@ def dependence_profile(model: SerialTwoModel, taus: Sequence[float] | np.ndarray
     taus = np.asarray(taus, dtype=float).reshape(-1)
     f_val, conv, marginal_a, marginal_b = _components(model, taus, cfg)
     diff = _checked_difference(model, taus, f_val, conv, marginal_a, marginal_b)
-    points = list(map(DependencePoint, *(a.tolist() for a in (
-        taus, f_val, conv, marginal_a, marginal_b, conv / marginal_a,
-        1.0 / marginal_a, diff, classify_sign(diff)))))
-    return DependenceProfile(model=model, points=points)
+    return DependenceProfile(model, taus, f_val, conv, marginal_a, marginal_b,
+                             conv / marginal_a, 1.0 / marginal_a, diff,
+                             classify_sign(diff))
 
 
 @dataclass(frozen=True)

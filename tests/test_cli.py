@@ -268,6 +268,14 @@ class TestFit:
         assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["figure", "fig7", "--steps", "2"],
+                                  ["theorem1", "--n", "100"]])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    code, out, err = run(argv + ["--out", str(tmp_path / "missing" / "x")], capsys)
+    assert code == 1
+    assert err.startswith("--out: [Errno 2] ") and "Traceback" not in err
+
+
 class TestVerifyAndUsage:
     def test_unknown_command(self, capsys):
         code, _, err = run(["frobnicate"], capsys)
@@ -313,6 +321,23 @@ def test_json_rows_equal_csv_rows(argv, capsys):
     for row, line in zip(rows, lines):
         assert ",".join(row) == header
         assert ",".join(_json_cells(v) for v in row.values()) == line
+
+
+def test_reader_closing_stdout_early_is_not_an_error():
+    # `archlab simulate ... | head -c 100`: the table is far longer than
+    # the pipe buffer, so the writer meets the closed pipe
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "from archlab.cli import main; sys.exit(main(sys.argv[2:]))", str(src),
+         "simulate", "serial", "--dist", "exp:u=1", "--n", "200000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert head.startswith(b"trial,order,t1,t2,total_a,total_b\n")
+    assert err == b""
 
 
 class TestStartup:

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from archlab import cli
+from archlab import cli, numerics
 
 GOLDEN = Path(__file__).parent / "golden"
 FIT_INPUT = str(GOLDEN / "fit_input.csv")
@@ -130,6 +130,12 @@ def test_matches_corpus(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_rerun_byte_identical(name):
     assert run(CASES[name]) == first_run(name)
+
+
+def test_corpus_crosses_chunk_seams():
+    csv_rows = (GOLDEN / "simulate-recall-serial.csv").read_text().count("\n") - 1
+    json_rows = (GOLDEN / "simulate-serial.json").read_text().count('{"trial"')
+    assert min(csv_rows, json_rows) > numerics._CHUNK_ROWS
 
 
 def test_budget_rejects_a_moved_float():

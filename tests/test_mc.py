@@ -137,8 +137,6 @@ class TestSimulateSerial:
                            trials.t1[a_first] + trials.t2[a_first], rtol=0, atol=0)
         assert np.allclose(trials.total_a[~a_first],
                            trials.t1[~a_first] + trials.t2[~a_first], rtol=0, atol=0)
-        rec = trials[0]
-        assert rec.order in ("a_first", "b_first")
 
 
 class TestSimulateParallel:

@@ -1,15 +1,17 @@
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from archlab import mc
+from archlab import mc, numerics
 from archlab.distributions import Exponential, Uniform, Weibull
 from archlab.errors import (DomainError, GridEvalError,
                             QuadratureConvergenceError)
 from archlab.numerics import (Axis, GridSpec, QuadratureConfig, classify_sign,
-                              convolve_cdf, fmt17, grid_eval, integrate)
+                              convolve_cdf, fmt17, grid_eval, integrate,
+                              write_rows_csv, write_table)
 from archlab.parallel import ParallelTwoModel, stage_survival_gap
 from archlab.serial import expression3
 
@@ -182,7 +184,9 @@ class TestGrids:
     def test_csv_format_and_roundtrip(self):
         grid = GridSpec(axes=(Axis("a", 0.0, 1.0, 2), Axis("b", 0.0, 1.0, 2)))
         res = grid_eval(lambda a, bs: a + bs / 3.0, grid)
-        text = res.to_csv_string()
+        buf = io.StringIO()
+        res.to_csv(buf)
+        text = buf.getvalue()
         lines = text.strip().split("\n")
         assert lines[0] == "axis1,axis2,value"
         assert len(lines) == 5
@@ -243,3 +247,81 @@ def test_fmt17_roundtrip():
     for x in rng.uniform(-1e6, 1e6, 200):
         assert float(fmt17(float(x))) == float(x)
     assert fmt17(float("inf")) == "inf"
+
+
+class TestWriteTable:
+    NAMES = ("x", "n", "label")
+    FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e300, -2.5,
+              3.0, 1.0 / 3.0]
+    INTS = [0, 1, -7, 2 ** 62, 12, 5, 6, 7, 8, 9]
+    LABELS = ["negative", "zero", "positive", "a_first", "b_first"] * 2
+
+    def cols(self):
+        return (np.array(self.FLOATS), np.array(self.INTS),
+                np.array(self.LABELS, dtype=object))
+
+    @staticmethod
+    def reference(names, cols, head):
+        """The table written one value at a time: str as is, int by str()
+        (json.dumps in JSON), finite floats by fmt17 and, in JSON, text and
+        non-finite floats by json.dumps."""
+        rows = list(zip(*(np.asarray(c).tolist() for c in cols)))
+        if head is None:
+            cells = [[v if isinstance(v, str) else str(v) if isinstance(v, int)
+                      else fmt17(v) for v in row] for row in rows]
+            return "".join(",".join(r) + "\n" for r in [list(names)] + cells)
+
+        def cell(v):
+            if isinstance(v, (str, int)) or not math.isfinite(v):
+                return json.dumps(v)
+            return fmt17(v)
+
+        objs = ["{" + ", ".join(f"{json.dumps(k)}: {cell(v)}"
+                                for k, v in zip(names, row)) + "}" for row in rows]
+        items = [f"{json.dumps(k)}: {json.dumps(v)}" for k, v in head.items()]
+        return "{" + ", ".join(items + ['"rows": [' + ", ".join(objs) + "]"]) + "}\n"
+
+    @staticmethod
+    def written(names, cols, head=None):
+        buf = io.StringIO()
+        write_table(buf, names, cols, head)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 10, numerics._CHUNK_ROWS])
+    @pytest.mark.parametrize("head", [None, {}, {"figure": "fig4"}])
+    def test_bytes_independent_of_chunk_size(self, monkeypatch, chunk, head):
+        monkeypatch.setattr(numerics, "_CHUNK_ROWS", chunk)
+        assert self.written(self.NAMES, self.cols(), head) == \
+            self.reference(self.NAMES, self.cols(), head)
+
+    def test_json_parses_back_to_the_same_values(self):
+        rows = json.loads(self.written(self.NAMES, self.cols(), {}))["rows"]
+        assert [r["n"] for r in rows] == self.INTS
+        assert [r["label"] for r in rows] == self.LABELS
+        got = np.array([r["x"] for r in rows])
+        assert np.array_equal(got, self.FLOATS, equal_nan=True)
+
+    def test_zero_rows(self):
+        cols = (np.empty(0), np.empty(0, dtype=int))
+        assert self.written(("a", "b"), cols) == "a,b\n"
+        assert self.written(("a", "b"), cols, {}) == '{"rows": []}\n'
+        assert self.written(("a", "b"), cols, {"figure": "fig7"}) == \
+            '{"figure": "fig7", "rows": []}\n'
+
+    def test_path_and_unequal_columns(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(str(path), self.NAMES, self.cols())
+        assert path.read_text() == self.reference(self.NAMES, self.cols(), None)
+        with pytest.raises(ValueError, match="differ in length"):
+            write_table(io.StringIO(), ("a", "b"), (np.zeros(2), np.zeros(3)))
+
+    @pytest.mark.parametrize("chunk", [1, 3, numerics._CHUNK_ROWS])
+    def test_rows_adapter_matches_columns(self, monkeypatch, chunk):
+        monkeypatch.setattr(numerics, "_CHUNK_ROWS", chunk)
+        rows = zip(self.FLOATS, self.INTS, self.LABELS)
+        buf = io.StringIO()
+        write_rows_csv(buf, self.NAMES, (list(r) for r in rows))
+        assert buf.getvalue() == self.reference(self.NAMES, self.cols(), None)
+        empty = io.StringIO()
+        write_rows_csv(empty, ["draw"], iter(()))
+        assert empty.getvalue() == "draw\n"

@@ -268,9 +268,8 @@ class TestArrayPath:
         assert res.gap[-1, -1] == stage_survival_gap(model, 1.0, 1.0).gap == 0.25
         assert np.isfinite(res.expr4[:-1]).all() and np.isfinite(res.expr4[:, :-1]).all()
         grid = stage_survival_grid(model, axis, axis)
-        last = grid.records[-1]
-        assert (last.t, last.ta, last.sign) == (1.0, 1.0, "positive")
-        assert math.isnan(last.alpha)  # h(T_a + t) undefined at v
+        assert (grid.t[-1], grid.ta[-1], grid.sign[-1]) == (1.0, 1.0, "positive")
+        assert math.isnan(grid.alpha[-1])  # h(T_a + t) undefined at v
 
     def test_pdf_cdf_only_with_one_exhausted_cell(self):
         model = ParallelTwoModel(ExpOnlyPdfCdf())
@@ -313,10 +312,9 @@ class TestStageGrid:
     def test_records_and_disagreement_flag(self):
         model = ParallelTwoModel(Uniform(2.0))
         grid = stage_survival_grid(model, [0.3], [0.9])
-        rec = grid.records[0]
-        assert rec.sign == "negative"
-        assert rec.pointwise_disagrees
-        a_min, a_max = alpha_extrema(model, rec.t, rec.ta)
+        assert grid.sign[0] == "negative"
+        assert grid.pointwise_disagrees[0]
+        a_min, a_max = alpha_extrema(model, float(grid.t[0]), float(grid.ta[0]))
         assert a_min < 2.0 < a_max
 
     def test_csv_columns(self):
@@ -381,12 +379,12 @@ class TestClassifyTrend:
         model = ParallelTwoModel(Weibull(4.0, 1.0))
         region = self.region(0.0, 10.0)
         res = classify_stage_trend(model, region)
-        records = stage_survival_grid(model, *(ax.values() for ax in region.axes)).records
+        grid = stage_survival_grid(model, *(ax.values() for ax in region.axes))
         for sign, witness in (("positive", res.positive_witness),
                               ("negative", res.negative_witness)):
-            rec = next(r for r in records if r.sign == sign)
-            assert witness == (rec.t, rec.ta, rec.gap)
-        assert (res.n_positive + res.n_negative + res.n_zero) == len(records)
+            i = grid.signs().index(sign)
+            assert witness == (grid.t[i], grid.ta[i], grid.gap[i])
+        assert (res.n_positive + res.n_negative + res.n_zero) == grid.t.size
 
     def test_exponential_slower(self):
         res = classify_stage_trend(ParallelTwoModel(Exponential(1.0)),

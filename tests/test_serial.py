@@ -204,7 +204,7 @@ class TestProfile:
             m = SerialTwoModel(Weibull(0.2, u), 0.5)
             profile = dependence_profile(m, np.linspace(0.01, 5.0, 25))
             assert all(s == "positive" for s in profile.signs())
-            assert min(pt.difference for pt in profile.points) > 0.01
+            assert profile.difference.min() > 0.01
 
     def test_weibull_k2_grid_never_positive(self):
         # The k = 2 surface is nonpositive on the same grid: the large-tau
@@ -230,24 +230,25 @@ class TestProfile:
         monkeypatch.setattr(serial_mod, "convolve_cdf", counting)
         taus = np.linspace(0.01, 3.0, 40)
         profile = dependence_profile(SerialTwoModel(dist, 0.5), taus)
-        assert len(profile.points) == taus.size
+        assert profile.tau.size == taus.size
         assert cells_per_call == [taus.size]
 
     def test_profile_matches_scalar_difference(self):
         model = SerialTwoModel(Weibull(1.5, 2.0), 0.3)
         taus = np.linspace(0.05, 3.0, 30)
         profile = dependence_profile(model, taus)
-        for pt in profile.points:
+        for tau, diff in zip(profile.tau, profile.difference):
             # numpy may round F(tau) an ulp differently for arrays
-            assert pt.difference == pytest.approx(
-                dependence_difference(model, pt.tau), abs=1e-15)
+            assert diff == pytest.approx(
+                dependence_difference(model, float(tau)), abs=1e-15)
 
     def test_r_and_r_prime_exposed(self):
         model = SerialTwoModel(Exponential(1.0), 0.5)
         profile = dependence_profile(model, [1.0])
-        pt = profile.points[0]
-        assert pt.r == pytest.approx(pt.conv * pt.r_prime, abs=1e-15)
-        assert pt.r_prime == pytest.approx(1.0 / pt.marginal_a, abs=1e-15)
+        assert profile.r[0] == pytest.approx(profile.conv[0] * profile.r_prime[0],
+                                             abs=1e-15)
+        assert profile.r_prime[0] == pytest.approx(1.0 / profile.marginal_a[0],
+                                                   abs=1e-15)
 
     def test_csv_columns(self):
         model = SerialTwoModel(Uniform(1.0), 0.5)
