@@ -17,6 +17,7 @@ A change that rewrites it says which files moved and why.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import re
 import sys
@@ -87,13 +88,9 @@ def run(argv: list[str]) -> str:
     return buf.getvalue()
 
 
-_first: dict[str, str] = {}
-
-
+@functools.cache
 def first_run(name: str) -> str:
-    if name not in _first:
-        _first[name] = run(CASES[name])
-    return _first[name]
+    return run(CASES[name])
 
 
 def _floats_close(got: float, want: float, verify: bool) -> bool:
