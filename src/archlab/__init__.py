@@ -9,8 +9,8 @@ from .distributions import (EPS_SURVIVAL, Exponential,
 from .mc import (DEFAULT_SEED, RngState, Theorem1Result, Trials,
                  empirical_dependence, run_theorem1_mc, sample_iid,
                  simulate_parallel, simulate_serial)
-from .numerics import (Axis, GridResult, GridSpec, QuadratureConfig,
-                       classify_sign, convolve_cdf, grid_eval, integrate)
+from .numerics import (Axis, GridResult, GridSpec, classify_sign,
+                       convolve_cdf, grid_eval, integrate)
 from .parallel import (ParallelTwoModel, StageGap, StageSurvivalGrid,
                        alpha_extrema, classify_stage_trend,
                        conditional_ict_survival, hazard_ratio_alpha,
@@ -30,7 +30,7 @@ __all__ = [
     "Weibull", "parse_spec", "DEFAULT_SEED", "RngState",
     "Theorem1Result", "Trials", "empirical_dependence",
     "run_theorem1_mc", "sample_iid", "simulate_parallel", "simulate_serial",
-    "Axis", "GridResult", "GridSpec", "QuadratureConfig", "classify_sign",
+    "Axis", "GridResult", "GridSpec", "classify_sign",
     "convolve_cdf", "grid_eval", "integrate", "ParallelTwoModel", "StageGap",
     "StageSurvivalGrid", "alpha_extrema", "classify_stage_trend",
     "conditional_ict_survival", "hazard_ratio_alpha", "ict_survival_trend",

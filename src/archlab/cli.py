@@ -16,6 +16,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 from typing import Sequence
 
@@ -33,19 +34,41 @@ from .serial import SerialTwoModel, dependence_profile, expression3
 _FIG_DEFAULT_K = {"fig4": 0.5, "fig5": 0.2, "fig6": 2.0}
 
 
-def _open_out(out_path: str | None):
-    """The ``--out`` file opened for writing, or stdout for none or ``-``."""
-    if out_path is None or out_path == "-":
-        return contextlib.nullcontext(sys.stdout)
+@contextlib.contextmanager
+def _out_file(path: str | None):
+    """The ``--out`` file, opened before the command computes anything so
+    that an unwritable path fails first; None for no ``--out`` or ``-``.
+
+    It opens without truncation and :func:`_open_out` empties it only once
+    the result exists, so a command that fails leaves an existing file's
+    bytes untouched; a file that the open created is removed again.
+    """
+    if path is None or path == "-":
+        yield None
+        return
+    created = not os.path.lexists(path)
     try:
-        return open(out_path, "w", newline="")
+        fh = open(path, "a", newline="")
     except OSError as exc:
         raise UsageError(f"--out: {exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
 
 
-def _write_text(out_path: str | None, text: str) -> None:
-    with _open_out(out_path) as fh:
-        fh.write(text)
+def _open_out(out):
+    """The stream a result is written to: the ``--out`` file from
+    :func:`_out_file`, emptied if it is a regular file (as opening it for
+    writing would), or stdout for None."""
+    if out is None:
+        return sys.stdout
+    if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+        out.truncate(0)
+    return out
 
 
 def _parse_dist(spec: str) -> ProcessingTimeDistribution:
@@ -133,9 +156,8 @@ def _build_parser() -> _Parser:
 def _write_table(args, result, **head) -> int:
     """Stream a result's ``table()`` as CSV, or as JSON objects keyed by its
     ``columns`` (after the ``head`` entries)."""
-    with _open_out(args.out) as fh:
-        write_table(fh, result.columns, result.table(),
-                    None if args.format == "csv" else head)
+    write_table(_open_out(args.out), result.columns, result.table(),
+                None if args.format == "csv" else head)
     return 0
 
 
@@ -151,7 +173,7 @@ def _write_report(args, payload: dict) -> int:
     else:
         text = "{" + ", ".join(f"{json.dumps(k)}: {c}"
                                for k, c in zip(payload, cells)) + "}\n"
-    _write_text(args.out, text)
+    _open_out(args.out).write(text)
     return 0
 
 
@@ -186,15 +208,15 @@ def _cmd_figure(args) -> int:
     else:
         if args.id == "fig6":
             k = args.k if args.k is not None else _FIG_DEFAULT_K["fig6"]
-            model = ParallelTwoModel(parse_spec(f"weibull:k={k!r},u={args.u!r}"))
+            model = ParallelTwoModel(Weibull(k, args.u))
             lo, hi = 0.0, 10.0
         else:
-            model = ParallelTwoModel(parse_spec(f"uniform:v={args.v!r}"))
+            model = ParallelTwoModel(Uniform(args.v))
             lo, hi = 0.0, 1.0
-            if isinstance(model.dist, Uniform) and hi >= model.dist.v:
+            if hi >= args.v:
                 raise ArchlabError(
                     f"axis t: grid end {hi} is outside the support "
-                    f"[0, {model.dist.v}) of {model.dist.spec_string()}")
+                    f"[0, {args.v}) of {model.dist.spec_string()}")
         grid = GridSpec(axes=(Axis("t", lo, hi, steps),
                               Axis("Ta", lo, hi, steps)))
 
@@ -315,8 +337,8 @@ def _cmd_verify(args) -> int:
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        _write_text(args.out, text)
+    if args.out is not None:
+        _open_out(args.out).write(text)
     return 0 if n_fail == 0 else 3
 
 
@@ -337,7 +359,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             "fit": _cmd_fit,
             "verify": _cmd_verify,
         }[args.command]
-        code = handler(args)
+        with _out_file(args.out) as args.out:  # the path becomes the open file
+            code = handler(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:  # the reader left early (`| head`): not a failure

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,12 +54,6 @@ def _prepare_support(t, what: str):
 
 def _ret(arr, scalar: bool):
     return float(arr) if scalar else arr
-
-
-def _never_exhausted(self, t):
-    """Never: these closed-form hazards stay defined where S underflows."""
-    t_arr, scalar = _prepare(t)
-    return False if scalar else np.zeros(t_arr.shape, dtype=bool)
 
 
 class ProcessingTimeDistribution(ABC):
@@ -181,12 +175,10 @@ class Weibull(ProcessingTimeDistribution):
         with np.errstate(over="ignore", under="ignore"):
             out[pos] = (self.k * self.u * x[pos] ** (self.k - 1.0)
                         * np.exp(-x[pos] ** self.k))
-        at_zero = (t_arr == 0.0)
-        if np.any(at_zero):
-            if self.k < 1.0:
-                out[at_zero] = math.inf  # density diverges at the origin
-            elif self.k == 1.0:
-                out[at_zero] = self.u
+        if self.k < 1.0:
+            out[t_arr == 0.0] = math.inf  # density diverges at the origin
+        elif self.k == 1.0:  # u at t = 0, and where u t underflows to 0
+            out[~pos & (t_arr >= 0.0)] = self.u
         return _ret(out, scalar)
 
     def cdf(self, t):
@@ -222,7 +214,10 @@ class Weibull(ProcessingTimeDistribution):
             out = (self.u * t_arr) ** self.k
         return _ret(out, scalar)
 
-    exhausted = _never_exhausted
+    def exhausted(self, t):
+        """Never: the closed-form hazards stay defined where S underflows."""
+        t_arr, scalar = _prepare(t)
+        return False if scalar else np.zeros(t_arr.shape, dtype=bool)
 
     def quantile(self, q):
         q_arr, scalar = _prepare(q, "q")
@@ -236,48 +231,15 @@ class Weibull(ProcessingTimeDistribution):
 
 
 @dataclass(frozen=True)
-class Exponential(ProcessingTimeDistribution):
-    """Exponential with rate ``u``; constant hazard and linear H(t) = u t."""
+class Exponential(Weibull):
+    """Exponential with rate ``u``: the Weibull with k = 1, so constant
+    hazard u and linear H(t) = u t."""
 
-    u: float
+    k: float = field(default=1.0, init=False, repr=False)
 
     def __post_init__(self):
         if not (self.u > 0 and math.isfinite(self.u)):
             raise DomainError(f"Exponential rate u must be positive, got {self.u}")
-
-    @property
-    def typical_scale(self) -> float:
-        return 1.0 / self.u
-
-    def pdf(self, t):
-        t_arr, scalar = _prepare(t)
-        out = np.where(t_arr >= 0.0, self.u * np.exp(-self.u * np.clip(t_arr, 0.0, None)), 0.0)
-        return _ret(out, scalar)
-
-    def cdf(self, t):
-        t_arr, scalar = _prepare(t)
-        out = -np.expm1(-self.u * np.clip(t_arr, 0.0, None))
-        return _ret(out, scalar)
-
-    def survival(self, t):
-        t_arr, scalar = _prepare(t)
-        return _ret(np.exp(-self.u * np.clip(t_arr, 0.0, None)), scalar)
-
-    def hazard(self, t):
-        t_arr, scalar = _prepare_support(t, "hazard")
-        return _ret(np.full_like(t_arr, self.u), scalar)
-
-    def cum_hazard(self, t):
-        t_arr, scalar = _prepare_support(t, "cumulative hazard")
-        return _ret(self.u * t_arr, scalar)
-
-    exhausted = _never_exhausted
-
-    def quantile(self, q):
-        q_arr, scalar = _prepare(q, "q")
-        if np.any((q_arr < 0.0) | (q_arr >= 1.0)):
-            raise DomainError(f"quantile level must be in [0, 1), got {q!r}")
-        return _ret(-np.log1p(-q_arr) / self.u, scalar)
 
     def spec_string(self) -> str:
         return f"exp:u={self.u!r}"
@@ -309,10 +271,6 @@ class Uniform(ProcessingTimeDistribution):
     def cdf(self, t):
         t_arr, scalar = _prepare(t)
         return _ret(np.clip(t_arr / self.v, 0.0, 1.0), scalar)
-
-    def survival(self, t):
-        t_arr, scalar = _prepare(t)
-        return _ret(1.0 - np.clip(t_arr / self.v, 0.0, 1.0), scalar)
 
     def hazard(self, t):
         t_arr, scalar = _prepare_support(t, "hazard")

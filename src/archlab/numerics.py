@@ -56,32 +56,13 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Settings of the adaptive Gauss-Kronrod G7/K15 rule.
-
-    ``abs_tol`` bounds the estimated absolute error of each integral (of
-    each cell, for an array of tau values).  ``max_depth`` is the number
-    of times a panel may be bisected: a panel ``max_depth`` halvings below
-    its starting segment that still misses its tolerance share fails the
-    cell.  ``breakpoints`` are abscissae at which the integrand may kink or
-    jump; the integration interval is split there before any refinement.
-    """
-
-    abs_tol: float = 1e-8
-    max_depth: int = 40
-    breakpoints: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_depth < 1:
-            raise DomainError(f"max_depth must be >= 1, got {self.max_depth}")
-        object.__setattr__(self, "breakpoints",
-                           tuple(sorted(float(b) for b in self.breakpoints)))
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
+#: Settings of the adaptive Gauss-Kronrod G7/K15 rule.  ``ABS_TOL`` bounds
+#: the estimated absolute error of each integral (of each cell, for an
+#: array of tau values).  ``MAX_DEPTH`` is the number of times a panel may
+#: be bisected: a panel ``MAX_DEPTH`` halvings below its starting segment
+#: that still misses its tolerance share fails the cell.
+ABS_TOL = 1e-8
+MAX_DEPTH = 40
 
 # Gauss-Kronrod 15-point nodes on [-1, 1] (ascending) with the Kronrod
 # weights and, in the second column, the weights of the 7-point Gauss rule
@@ -114,20 +95,20 @@ _CELLS_PER_PASS = 1024
 
 
 def _gauss_kronrod(fn, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
-                   cell: np.ndarray, n_cells: int,
-                   max_depth: int) -> tuple[np.ndarray, np.ndarray]:
+                   cell: np.ndarray,
+                   n_cells: int) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive G7/K15 over panels ``[lo, hi]``, each owned by a ``cell``.
 
     ``fn(x, cell)`` evaluates the integrands at the nodes ``x`` (one row of
     15 per panel) of the panels owned by ``cell``.  A panel is accepted
     when |K15 - G7| <= its ``tol``; otherwise it is bisected and each half
-    gets half the tolerance, at most ``max_depth`` times.  Returns the
+    gets half the tolerance, at most ``MAX_DEPTH`` times.  Returns the
     per-cell sums of the Kronrod estimates and whether every panel of the
     cell met its tolerance (the sums are then still the best estimates).
     """
     total = np.zeros(n_cells)
     ok = np.ones(n_cells, dtype=bool)
-    for level in range(max_depth + 1):
+    for level in range(MAX_DEPTH + 1):
         centre = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         fx = fn(centre[:, None] + half[:, None] * _NODES, cell)
@@ -136,11 +117,11 @@ def _gauss_kronrod(fn, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
         err = np.abs(kronrod - gauss)
         refine = ~(err <= tol)
         if refine.any():
-            # a panel at max_depth, with a nan estimate or with an error at
+            # a panel at MAX_DEPTH, with a nan estimate or with an error at
             # the rounding floor cannot be refined: it fails its cell
             floor = _ROUNDING_ULPS * half * np.einsum("pn,n->p", np.abs(fx),
                                                       _WEIGHTS[:, 0])
-            stuck = refine & ((level == max_depth) | ~(err > floor))
+            stuck = refine & ((level == MAX_DEPTH) | ~(err > floor))
             if stuck.any():
                 ok[cell[stuck]] = False
                 refine &= ~stuck
@@ -159,15 +140,16 @@ def _gauss_kronrod(fn, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
 
 
 def integrate(fn: Callable[[float], float], a: float, b: float,
-              cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+              breakpoints: Iterable[float] = ()) -> float:
     """Adaptive Gauss-Kronrod G7/K15 integral of the scalar ``fn`` over [a, b].
 
-    The interval is split at every configured breakpoint strictly inside
-    (a, b); each segment receives a tolerance share proportional to its
-    length.  The rule never evaluates ``fn`` at a segment end, so a jump at
-    a breakpoint needs no one-sided limit.  Raises
-    :class:`QuadratureConvergenceError` (carrying the best estimate) if the
-    depth limit is hit before the tolerance is met.
+    The interval is split at every breakpoint strictly inside (a, b), the
+    abscissae at which ``fn`` may kink or jump; each segment receives a
+    share of ``ABS_TOL`` proportional to its length.  The rule never
+    evaluates ``fn`` at a segment end, so a jump at a breakpoint needs no
+    one-sided limit.  Raises :class:`QuadratureConvergenceError` (carrying
+    the best estimate) if the depth limit is hit before the tolerance is
+    met.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
@@ -175,25 +157,25 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
         raise DomainError(f"integration bounds out of order: [{a}, {b}]")
     if b == a:
         return 0.0
-    cuts = np.array([a] + [p for p in cfg.breakpoints if a < p < b] + [b])
+    inner = sorted(float(p) for p in breakpoints if a < p < b)
+    cuts = np.array([a] + inner + [b])
     lo, hi = cuts[:-1], cuts[1:]
 
     def each(x, cell):
         return np.fromiter((fn(float(t)) for t in x.flat), float,
                            x.size).reshape(x.shape)
 
-    total, ok = _gauss_kronrod(each, lo, hi, cfg.abs_tol * (hi - lo) / (b - a),
-                               np.zeros(lo.size, dtype=int), 1, cfg.max_depth)
+    total, ok = _gauss_kronrod(each, lo, hi, ABS_TOL * (hi - lo) / (b - a),
+                               np.zeros(lo.size, dtype=int), 1)
     if not ok[0]:
         raise QuadratureConvergenceError(
-            f"Gauss-Kronrod quadrature hit depth {cfg.max_depth} before "
-            f"reaching abs_tol={cfg.abs_tol} on [{a}, {b}]",
+            f"Gauss-Kronrod quadrature hit depth {MAX_DEPTH} before "
+            f"reaching abs_tol={ABS_TOL} on [{a}, {b}]",
             best_estimate=float(total[0]))
     return float(total[0])
 
 
 def convolve_cdf(dist: ProcessingTimeDistribution, tau,
-                 cfg: QuadratureConfig = DEFAULT_QUADRATURE,
                  force_numeric: bool = False):
     """P(z1 + z2 <= tau) for two iid draws from ``dist``.
 
@@ -209,7 +191,7 @@ def convolve_cdf(dist: ProcessingTimeDistribution, tau,
     (retained for cross-checking).  The Weibull family has no closed form
     and always integrates numerically, as do custom distributions, whose
     ``pdf`` and ``cdf`` are called with arrays of nodes.  A tau at which
-    the quadrature misses ``cfg.abs_tol`` raises
+    the quadrature misses ``ABS_TOL`` raises
     :class:`QuadratureConvergenceError` naming the first such tau and
     carrying its best estimate.
     """
@@ -235,12 +217,12 @@ def convolve_cdf(dist: ProcessingTimeDistribution, tau,
             # the split form needs tau/2 > 0: the smallest subnormal tau,
             # whose half rounds to 0, keeps conv = 0 like tau = 0
             pos = np.flatnonzero(0.5 * part > 0.0)
-            out[start + pos] = _numeric_conv(dist, part[pos], cfg)
+            out[start + pos] = _numeric_conv(dist, part[pos])
     return float(conv) if taus.ndim == 0 else conv
 
 
-def _numeric_conv(dist: ProcessingTimeDistribution, tau: np.ndarray,
-                  cfg: QuadratureConfig) -> np.ndarray:
+def _numeric_conv(dist: ProcessingTimeDistribution,
+                  tau: np.ndarray) -> np.ndarray:
     """The split-form convolution at every (positive) tau at once."""
     n = tau.size
     half = 0.5 * tau
@@ -259,7 +241,7 @@ def _numeric_conv(dist: ProcessingTimeDistribution, tau: np.ndarray,
             return dist.pdf(x) * -np.expm1(-s) * s ** jac_exp / (u * k)
 
         lo, hi, cell = np.zeros(n), (u * half) ** k, np.arange(n)
-        tol = np.full(n, 0.5 * cfg.abs_tol)
+        tol = np.full(n, 0.5 * ABS_TOL)
     else:
         def integrand(x, cell):
             return dist.pdf(x) * dist.cdf(tau[cell][:, None] - x)
@@ -273,9 +255,9 @@ def _numeric_conv(dist: ProcessingTimeDistribution, tau: np.ndarray,
         cell = np.repeat(np.arange(n), cuts.shape[1] - 1)
         keep = hi > lo
         lo, hi, cell = lo[keep], hi[keep], cell[keep]
-        tol = 0.5 * cfg.abs_tol * (hi - lo) / half[cell]
+        tol = 0.5 * ABS_TOL * (hi - lo) / half[cell]
 
-    integral, ok = _gauss_kronrod(integrand, lo, hi, tol, cell, n, cfg.max_depth)
+    integral, ok = _gauss_kronrod(integrand, lo, hi, tol, cell, n)
     f_half = np.asarray(dist.cdf(half), dtype=float)
     # mathematical constraint: 0 <= f*F(tau) <= F(tau)
     conv = np.clip(f_half * f_half + 2.0 * integral, 0.0,
@@ -284,7 +266,7 @@ def _numeric_conv(dist: ProcessingTimeDistribution, tau: np.ndarray,
         i = int(np.argmin(ok))
         raise QuadratureConvergenceError(
             f"convolution quadrature did not converge at tau={float(tau[i])!r} "
-            f"for {dist!r} (abs_tol={cfg.abs_tol}, max_depth={cfg.max_depth})",
+            f"for {dist!r} (abs_tol={ABS_TOL}, max_depth={MAX_DEPTH})",
             best_estimate=float(conv[i]))
     return conv
 

@@ -17,8 +17,9 @@ has the same sign as
     expr4 = -2 H(t) + H(T_a + t) - H(T_a) = int_0^t [alpha(s, T_a+s) - 2] h(s) ds.
 
 Because the sign condition is an integral over s in [0, t], a single-point
-alpha can misclassify; the grid's ``pointwise_disagrees`` column flags cells
-where the displayed alpha at (t, T_a) contradicts the actual sign, and
+alpha can misclassify; the grid's ``pointwise_disagrees`` attribute (an
+array that no output writes) flags cells where the alpha at (t, T_a)
+contradicts the actual sign, and
 :func:`alpha_extrema` gives the extrema of alpha over the integration range
 on demand.
 

@@ -29,12 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import (Exponential, ProcessingTimeDistribution, Uniform,
-                            Weibull)
+from .distributions import ProcessingTimeDistribution, Uniform, Weibull
 from .errors import (ConditioningError, ConsistencyError, DomainError,
                      OrderingViolationError)
-from .numerics import (DEFAULT_QUADRATURE, QuadratureConfig, classify_sign,
-                       convolve_cdf, write_table)
+from .numerics import classify_sign, convolve_cdf, write_table
 
 #: Two algebraically identical routes to the dependence difference must
 #: agree at least this well; they share all inputs, so only floating-point
@@ -58,7 +56,7 @@ class SerialTwoModel:
             raise DomainError(f"order probability p must be in [0, 1], got {self.p}")
 
 
-def _components(model: SerialTwoModel, tau, cfg: QuadratureConfig):
+def _components(model: SerialTwoModel, tau):
     """(F, conv, marginal_a, marginal_b) at a scalar or an array of tau."""
     taus = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(taus)):
@@ -66,19 +64,19 @@ def _components(model: SerialTwoModel, tau, cfg: QuadratureConfig):
     if np.any(taus < 0):
         raise DomainError(f"tau must be nonnegative, got {tau}")
     f_val = model.dist.cdf(tau)
-    conv = convolve_cdf(model.dist, tau, cfg)
+    conv = convolve_cdf(model.dist, tau)
     p = model.p
     marginal_a = p * f_val + (1.0 - p) * conv
     marginal_b = (1.0 - p) * f_val + p * conv
     return f_val, conv, marginal_a, marginal_b
 
 
-def marginal_completion_cdf(model: SerialTwoModel, which: str, tau: float,
-                            cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def marginal_completion_cdf(model: SerialTwoModel, which: str,
+                            tau: float) -> float:
     """CDF of the total completion time of process 'a' or 'b'."""
     if which not in ("a", "b"):
         raise DomainError(f"which must be 'a' or 'b', got {which!r}")
-    _, _, marginal_a, marginal_b = _components(model, tau, cfg)
+    _, _, marginal_a, marginal_b = _components(model, tau)
     return marginal_a if which == "a" else marginal_b
 
 
@@ -108,8 +106,7 @@ def _checked_difference(model: SerialTwoModel, tau, f_val, conv, marginal_a,
     return float(quotient) if quotient.ndim == 0 else quotient
 
 
-def dependence_difference(model: SerialTwoModel, tau,
-                          cfg: QuadratureConfig = DEFAULT_QUADRATURE):
+def dependence_difference(model: SerialTwoModel, tau):
     """Conditional-minus-marginal completion probability at ``tau``.
 
     Computed as conv/marginal_a - marginal_b and cross-checked against the
@@ -117,7 +114,7 @@ def dependence_difference(model: SerialTwoModel, tau,
     equal routes diverged, which would indicate a numerical defect.  A
     scalar ``tau`` gives a float, an array of tau an array.
     """
-    return _checked_difference(model, tau, *_components(model, tau, cfg))
+    return _checked_difference(model, tau, *_components(model, tau))
 
 
 def expression3(f_val, conv_val):
@@ -178,8 +175,8 @@ class DependenceProfile:
         write_table(out, self.columns, self.table())
 
 
-def dependence_profile(model: SerialTwoModel, taus: Sequence[float] | np.ndarray,
-                       cfg: QuadratureConfig = DEFAULT_QUADRATURE) -> DependenceProfile:
+def dependence_profile(model: SerialTwoModel,
+                       taus: Sequence[float] | np.ndarray) -> DependenceProfile:
     """Evaluate the dependence difference on a tau grid.
 
     Every convolution is computed once, for the whole grid, and both
@@ -188,7 +185,7 @@ def dependence_profile(model: SerialTwoModel, taus: Sequence[float] | np.ndarray
     beyond twice its support classifies as exactly zero.
     """
     taus = np.asarray(taus, dtype=float).reshape(-1)
-    f_val, conv, marginal_a, marginal_b = _components(model, taus, cfg)
+    f_val, conv, marginal_a, marginal_b = _components(model, taus)
     diff = _checked_difference(model, taus, f_val, conv, marginal_a, marginal_b)
     return DependenceProfile(model, taus, f_val, conv, marginal_a, marginal_b,
                              conv / marginal_a, 1.0 / marginal_a, diff,
@@ -204,9 +201,8 @@ class FixedOrderCovariance:
 
 
 def analytic_stage_variance(dist: ProcessingTimeDistribution) -> float | None:
-    """Var(z) in closed form for the built-in families, else None."""
-    if isinstance(dist, Exponential):
-        return 1.0 / dist.u ** 2
+    """Var(z) in closed form for the built-in families, else None; the
+    Weibull form gives 1/u^2 for the exponential (k = 1)."""
     if isinstance(dist, Uniform):
         return dist.v ** 2 / 12.0
     if isinstance(dist, Weibull):

@@ -19,9 +19,8 @@ from .distributions import Exponential, Uniform, Weibull
 from .numerics import classify_sign, convolve_cdf
 from .parallel import (ParallelTwoModel, alpha_extrema, conditional_ict_survival,
                        parallel_dependence_difference, stage_survival_gap)
-from .serial import (SerialTwoModel, _components, dependence_difference,
-                     marginal_completion_cdf)
-from .numerics import DEFAULT_QUADRATURE
+from .serial import (SerialTwoModel, _checked_difference, _components,
+                     dependence_difference, marginal_completion_cdf)
 
 _VERIFY_SEED = 0x5EED_2024
 
@@ -52,8 +51,7 @@ def _check_route_agreement() -> CheckResult:
         dist = _random_dist(rng)
         p = float(rng.uniform(0.0, 1.0))
         tau = float(dist.quantile(float(rng.uniform(0.05, 0.99))))
-        f_val, conv, ma, mb = _components(SerialTwoModel(dist, p), tau,
-                                          DEFAULT_QUADRATURE)
+        f_val, conv, ma, mb = _components(SerialTwoModel(dist, p), tau)
         if ma <= 0.0 or conv <= 0.0:
             continue
         quotient = conv / ma - mb
@@ -74,8 +72,8 @@ def _check_fixed_order_nonnegative() -> CheckResult:
         p = float(rng.integers(0, 2))
         tau = float(dist.quantile(float(rng.uniform(0.05, 0.999))))
         model = SerialTwoModel(dist, p)
-        diff = dependence_difference(model, tau)
-        f_val, conv, ma, _ = _components(model, tau, DEFAULT_QUADRATURE)
+        f_val, conv, ma, mb = _components(model, tau)
+        diff = _checked_difference(model, tau, f_val, conv, ma, mb)
         worst_neg = min(worst_neg, diff)
         if ma > 0:
             worst_gap = max(worst_gap, abs(diff - (conv / ma) * (1.0 - f_val)))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -274,6 +275,40 @@ def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
     code, out, err = run(argv + ["--out", str(tmp_path / "missing" / "x")], capsys)
     assert code == 1
     assert err.startswith("--out: [Errno 2] ") and "Traceback" not in err
+
+
+def test_unwritable_out_fails_before_computing(tmp_path, capsys):
+    # the path is checked first: no check runs and nothing is printed
+    code, out, err = run(["verify", "--suite", "analysis",
+                          "--out", str(tmp_path / "missing" / "x.txt")], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("--out: [Errno 2] ")
+
+
+def test_failing_command_leaves_out_untouched(tmp_path, capsys):
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"earlier,bytes\n1,2\n")
+    code, out, err = run(["figure", "fig4", "--k", "-1", "--out", str(keep)], capsys)
+    assert code == 2 and out == "" and "k must be positive" in err
+    assert keep.read_bytes() == b"earlier,bytes\n1,2\n"
+    # and a file that did not exist is not left behind
+    new = tmp_path / "new.csv"
+    code, _, _ = run(["figure", "fig4", "--k", "-1", "--out", str(new)], capsys)
+    assert code == 2 and not new.exists()
+
+
+def test_out_replaces_a_longer_file(tmp_path, capsys):
+    argv = ["figure", "fig7", "--steps", "2"]
+    code, want, _ = run(argv, capsys)
+    assert code == 0
+    out = tmp_path / "fig7.csv"
+    out.write_text("x" * 10 * len(want))
+    code, printed, _ = run(argv + ["--out", str(out)], capsys)
+    assert code == 0 and printed == ""
+    assert out.read_text() == want
+    # a device is written, not truncated
+    code, printed, err = run(argv + ["--out", os.devnull], capsys)
+    assert (code, printed, err) == (0, "", "")
 
 
 class TestVerifyAndUsage:

@@ -147,6 +147,39 @@ class TestFunctionalIdentities:
             assert np.all(np.abs(np.asarray(w.hazard(t)) - np.asarray(e.hazard(t)))
                           <= 1e-12)
 
+    @pytest.mark.parametrize("u", [0.3, 1.0, 2.5, 7.0])
+    def test_exponential_is_bitwise_its_formulas(self, u):
+        # the exponential's functionals are exactly these expressions, for
+        # arrays and for scalars, also where u t underflows to 0
+        t = np.concatenate([[0.0, 5e-324, 1e-300], np.linspace(0.0, 40.0 / u, 801)])
+        q = np.concatenate([np.linspace(0.0, 0.999, 1000), [1.0 - 2.0 ** -53]])
+        formulas = {"pdf": lambda t: u * np.exp(-u * t),
+                    "cdf": lambda t: -np.expm1(-u * t),
+                    "survival": lambda t: np.exp(-u * t),
+                    "hazard": lambda t: np.full_like(t, u),
+                    "cum_hazard": lambda t: u * t,
+                    "quantile": lambda q: -np.log1p(-q) / u}
+        dist = Exponential(u)
+        for name, formula in formulas.items():
+            x = q if name == "quantile" else t
+            fn = getattr(dist, name)
+            assert fn(x).tobytes() == formula(x).tobytes(), name
+            for xi in x[::10]:
+                got = fn(float(xi))
+                assert type(got) is float, name
+                assert got.hex() == float(formula(np.asarray(xi))).hex(), (name, xi)
+
+    def test_exponential_is_the_k1_weibull(self):
+        dist = Exponential(2.0)
+        assert isinstance(dist, Weibull) and dist.k == 1.0
+        assert repr(dist) == "Exponential(u=2.0)"
+        assert dist.spec_string() == "exp:u=2.0"
+        assert dist == Exponential(2.0) != Weibull(1.0, 2.0)
+        for name in ("pdf", "cdf", "survival", "hazard", "cum_hazard",
+                     "exhausted", "quantile", "typical_scale"):
+            assert name not in vars(Exponential), name
+        assert "survival" not in vars(Uniform)
+
     def test_hazard_monotonicity(self):
         t = np.linspace(0.05, 3.0, 80)
         decreasing = np.asarray(Weibull(0.6, 1.0).hazard(t))

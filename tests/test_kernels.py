@@ -29,12 +29,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from archlab import numerics
 from archlab.distributions import (Exponential, ProcessingTimeDistribution,
                                    Uniform, Weibull)
 from archlab.errors import QuadratureConvergenceError
-from archlab.numerics import QuadratureConfig, convolve_cdf
+from archlab.numerics import convolve_cdf
 
-#: Worst allowed |archlab - oracle|; the default abs_tol is 1e-8, and the
+#: Worst allowed |archlab - oracle|; ABS_TOL is 1e-8, and the
 #: rule's error estimate |K15 - G7| overstates the Kronrod error by far.
 ORACLE_TOL = 1e-10
 
@@ -140,26 +141,32 @@ def test_array_tau_matches_scalar_calls():
         assert got[0, 0] == 0.0
 
 
-def test_starved_scalar_raises_with_finite_estimate():
-    cfg = QuadratureConfig(abs_tol=1e-12, max_depth=1)
+def starve(monkeypatch):
+    """Quadrature settings under which most convolutions cannot converge."""
+    monkeypatch.setattr(numerics, "ABS_TOL", 1e-12)
+    monkeypatch.setattr(numerics, "MAX_DEPTH", 1)
+
+
+def test_starved_scalar_raises_with_finite_estimate(monkeypatch):
+    starve(monkeypatch)
     with pytest.raises(QuadratureConvergenceError, match=r"tau=1\.0\b") as err:
-        convolve_cdf(Weibull(1.5, 1.0), 1.0, cfg)
+        convolve_cdf(Weibull(1.5, 1.0), 1.0)
     est = err.value.best_estimate
     assert math.isfinite(est)
     assert 0.0 <= est <= float(Weibull(1.5, 1.0).cdf(1.0))
 
 
-def test_starved_array_names_first_failing_tau():
+def test_starved_array_names_first_failing_tau(monkeypatch):
     # at this depth the two smallest tau converge and the rest do not
-    cfg = QuadratureConfig(abs_tol=1e-12, max_depth=1)
+    starve(monkeypatch)
     taus = np.array([0.001, 0.01, 0.5, 1.0])
     with pytest.raises(QuadratureConvergenceError,
                        match=re.escape("tau=0.5 ")) as err:
-        convolve_cdf(Weibull(1.5, 1.0), taus, cfg)
+        convolve_cdf(Weibull(1.5, 1.0), taus)
     assert math.isfinite(err.value.best_estimate)
     assert 0.0 <= err.value.best_estimate <= float(Weibull(1.5, 1.0).cdf(0.5))
-    # the converging prefix really converges under the same config
-    assert np.all(convolve_cdf(Weibull(1.5, 1.0), taus[:2], cfg) > 0.0)
+    # the converging prefix really converges under the same settings
+    assert np.all(convolve_cdf(Weibull(1.5, 1.0), taus[:2]) > 0.0)
 
 
 def weibull2_closed_form(u: float, tau: float) -> float:
@@ -218,3 +225,26 @@ def test_convolution_between_half_and_full_square(dist, tau, numeric):
 def test_smallest_subnormal_tau_gives_zero(dist):
     # tau/2 rounds to 0 there, which once made the split-form tolerance nan
     assert convolve_cdf(dist, 5e-324, force_numeric=True) == 0.0
+
+
+@pytest.mark.parametrize("u", [0.3, 1.0, 4.0])
+def test_continuity_across_k_equal_one(u):
+    # k < 1 takes the substitution path and k >= 1 the direct one; both must
+    # meet the exponential closed form, to first order in k - 1 each
+    # (2.8e-7 measured) and to second order on average (4.9e-13 measured)
+    taus = np.linspace(0.0, 12.0 / u, 121)
+    exact = convolve_cdf(Exponential(u), taus)
+    below = convolve_cdf(Weibull(1.0 - 1e-6, u), taus)
+    above = convolve_cdf(Weibull(1.0 + 1e-6, u), taus)
+    assert np.max(np.abs(below - exact)) <= 1e-6
+    assert np.max(np.abs(above - exact)) <= 1e-6
+    assert np.max(np.abs(0.5 * (below + above) - exact)) <= 1e-11
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.floats(0.2, 5.0), u=st.floats(0.05, 10.0), tau=st.floats(0.0, 20.0))
+def test_scale_invariance(k, u, tau):
+    # u is a time scale: u z is Weibull(k, 1) when z is Weibull(k, u)
+    # (4.4e-16 worst measured)
+    assert abs(convolve_cdf(Weibull(k, u), tau)
+               - convolve_cdf(Weibull(k, 1.0), u * tau)) <= 2.0 * numerics.ABS_TOL

@@ -9,9 +9,9 @@ from archlab import mc, numerics
 from archlab.distributions import Exponential, Uniform, Weibull
 from archlab.errors import (DomainError, GridEvalError,
                             QuadratureConvergenceError)
-from archlab.numerics import (Axis, GridSpec, QuadratureConfig, classify_sign,
-                              convolve_cdf, fmt17, grid_eval, integrate,
-                              write_rows_csv, write_table)
+from archlab.numerics import (Axis, GridSpec, classify_sign, convolve_cdf,
+                              fmt17, grid_eval, integrate, write_rows_csv,
+                              write_table)
 from archlab.parallel import ParallelTwoModel, stage_survival_gap
 from archlab.serial import expression3
 
@@ -28,19 +28,27 @@ class TestIntegrate:
 
     def test_uniform_pdf_across_discontinuity(self):
         dist = Uniform(2.0)
-        cfg = QuadratureConfig(breakpoints=(2.0,))
-        val = integrate(lambda t: float(dist.pdf(t)), 0.0, 3.0, cfg)
+        val = integrate(lambda t: float(dist.pdf(t)), 0.0, 3.0, (2.0,))
         assert val == pytest.approx(1.0, abs=1e-10)
 
-    def test_depth_exhaustion_carries_best_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-14, max_depth=2)
+    def test_breakpoints_in_any_order(self):
+        # a kink at 1 and a jump at 2; unsorted and out-of-range points
+        fn = lambda t: abs(t - 1.0) + (t > 2.0)
+        want = integrate(fn, 0.0, 3.0, (1.0, 2.0))
+        assert want == pytest.approx(2.5 + 1.0, abs=1e-12)
+        assert integrate(fn, 0.0, 3.0, [2.0, -1.0, 1.0, 3.0, 7.0]) == want
+
+    def test_depth_exhaustion_carries_best_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "ABS_TOL", 1e-14)
+        monkeypatch.setattr(numerics, "MAX_DEPTH", 2)
         spike = lambda t: 1.0 / math.sqrt(abs(t - 0.37) + 1e-9)
-        with pytest.raises(QuadratureConvergenceError) as err:
-            integrate(spike, 0.0, 1.0, cfg)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"hit depth 2 before reaching abs_tol=1e-14 ") as err:
+            integrate(spike, 0.0, 1.0)
         assert math.isfinite(err.value.best_estimate)
         assert err.value.best_estimate > 0
 
-    def test_tolerance_below_rounding_fails_without_refining(self):
+    def test_tolerance_below_rounding_fails_without_refining(self, monkeypatch):
         # noise at the rounding level keeps |K - G| above any abs_tol this
         # small; bisecting would only double the panels up to max_depth,
         # so the panel fails at once
@@ -50,9 +58,9 @@ class TestIntegrate:
             calls.append(t)
             return math.exp(t) * (1.0 + 1e-15 * math.sin(1e4 * t))
 
-        cfg = QuadratureConfig(abs_tol=1e-30, max_depth=40)
+        monkeypatch.setattr(numerics, "ABS_TOL", 1e-30)
         with pytest.raises(QuadratureConvergenceError) as err:
-            integrate(fn, 0.0, 1.0, cfg)
+            integrate(fn, 0.0, 1.0)
         assert err.value.best_estimate == pytest.approx(math.e - 1.0, abs=1e-14)
         assert len(calls) == 15
 
@@ -65,14 +73,6 @@ class TestIntegrate:
             integrate(lambda t: 1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             integrate(lambda t: 1.0, 0.0, math.inf)
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureConfig(max_depth=0)
-        cfg = QuadratureConfig(breakpoints=(3.0, 1.0))
-        assert cfg.breakpoints == (1.0, 3.0)
 
 
 class TestConvolveCdf:
@@ -135,10 +135,12 @@ class TestConvolveCdf:
         assert convolve_cdf(Weibull(0.2, 1.0), 1.0) == pytest.approx(
             0.391038, abs=5e-6)
 
-    def test_depth_starved_convolution_raises_with_estimate(self):
-        cfg = QuadratureConfig(abs_tol=1e-14, max_depth=1)
-        with pytest.raises(QuadratureConvergenceError) as err:
-            convolve_cdf(Weibull(1.5, 1.0), 1.0, cfg)
+    def test_depth_starved_convolution_raises_with_estimate(self, monkeypatch):
+        monkeypatch.setattr(numerics, "ABS_TOL", 1e-14)
+        monkeypatch.setattr(numerics, "MAX_DEPTH", 1)
+        with pytest.raises(QuadratureConvergenceError,
+                           match=r"\(abs_tol=1e-14, max_depth=1\)") as err:
+            convolve_cdf(Weibull(1.5, 1.0), 1.0)
         assert 0.0 <= err.value.best_estimate <= 1.0
 
     def test_custom_distribution_generic_path(self):
@@ -240,6 +242,13 @@ def test_classify_sign():
     assert classify_sign(0.0) == "zero"
     with pytest.raises(DomainError):
         classify_sign(math.nan)
+
+
+def test_every_export_resolves():
+    import archlab
+    missing = [name for name in archlab.__all__ if not hasattr(archlab, name)]
+    assert missing == []
+    assert len(set(archlab.__all__)) == len(archlab.__all__)
 
 
 def test_fmt17_roundtrip():
