@@ -25,10 +25,10 @@ import numpy as np
 from . import mc, recall, verify
 from .distributions import (ProcessingTimeDistribution, Uniform,
                             Weibull, parse_spec)
-from .errors import ArchlabError, DistSpecError, DomainError, UsageError
-from .numerics import (Axis, GridSpec, convolve_cdf, fmt17, grid_eval,
-                       write_table)
-from .parallel import ParallelTwoModel, stage_survival_gap, stage_survival_grid
+from .errors import ArchlabError, DistSpecError, UsageError
+from .numerics import (Axis, GridResult, GridSpec, convolve_cdf, fmt17,
+                       grid_eval, write_table)
+from .parallel import ParallelTwoModel, StageSurvivalGrid, stage_survival_grid
 from .serial import SerialTwoModel, dependence_profile, expression3
 
 _FIG_DEFAULT_K = {"fig4": 0.5, "fig5": 0.2, "fig6": 2.0}
@@ -193,6 +193,21 @@ def _tau_grid(lo: float, hi: float, steps: int) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
+def _stage_grid(dist: ProcessingTimeDistribution, name: str, steps: int,
+                t: tuple[float, float],
+                ta: tuple[float, float]) -> StageSurvivalGrid:
+    """The stage-survival grid of ``dist`` over ``steps`` points of each
+    (lo, hi) range, once both ranges end inside the support; ``name``
+    spells ``dist`` in the error message."""
+    upper = dist.support_upper
+    for axis, (_, hi) in (("t", t), ("Ta", ta)):
+        if hi >= upper:
+            raise ArchlabError(f"axis {axis}: grid end {hi} is outside the "
+                               f"support [0, {upper}) of {name}")
+    return stage_survival_grid(ParallelTwoModel(dist), np.linspace(*t, steps),
+                               np.linspace(*ta, steps))
+
+
 def _cmd_figure(args) -> int:
     steps = args.steps
     _check_axes(steps)
@@ -205,28 +220,18 @@ def _cmd_figure(args) -> int:
             dist = Weibull(k, u)
             return expression3(dist.cdf(taus), convolve_cdf(dist, taus))
 
+        result = grid_eval(row, grid)
     else:
         if args.id == "fig6":
             k = args.k if args.k is not None else _FIG_DEFAULT_K["fig6"]
-            model = ParallelTwoModel(Weibull(k, args.u))
-            lo, hi = 0.0, 10.0
+            dist, hi = Weibull(k, args.u), 10.0
         else:
-            model = ParallelTwoModel(Uniform(args.v))
-            lo, hi = 0.0, 1.0
-            if hi >= args.v:
-                raise ArchlabError(
-                    f"axis t: grid end {hi} is outside the support "
-                    f"[0, {args.v}) of {model.dist.spec_string()}")
-        grid = GridSpec(axes=(Axis("t", lo, hi, steps),
-                              Axis("Ta", lo, hi, steps)))
-
-        def row(t: float, tas: np.ndarray) -> np.ndarray:
-            expr4 = stage_survival_gap(model, t, tas).expr4
-            if np.isnan(expr4).any():  # no sign: fail, as stage-survival does
-                raise DomainError("expr4 is nan")
-            return expr4
-
-    return _write_table(args, grid_eval(row, grid), figure=args.id)
+            dist, hi = Uniform(args.v), 1.0
+        grid = GridSpec(axes=(Axis("t", 0.0, hi, steps),
+                              Axis("Ta", 0.0, hi, steps)))
+        stage = _stage_grid(dist, dist.spec_string(), steps, (0.0, hi), (0.0, hi))
+        result = GridResult(grid, stage.expr4.reshape(grid.shape))
+    return _write_table(args, result, figure=args.id)
 
 
 def _cmd_theorem1(args) -> int:
@@ -247,19 +252,13 @@ def _cmd_dependence(args) -> int:
 
 def _cmd_stage_survival(args) -> int:
     dist = _parse_dist(args.dist)
-    model = ParallelTwoModel(dist)
     upper = dist.support_upper
     t_max = args.t_max if args.t_max is not None else (
         0.45 * upper if np.isfinite(upper) else 3.0 * dist.typical_scale)
     ta_max = args.ta_max if args.ta_max is not None else t_max
-    _check_axes(args.steps, t=(args.t_min, t_max), ta=(args.ta_min, ta_max))
-    for name, hi in (("t", t_max), ("Ta", ta_max)):
-        if hi >= upper:
-            raise ArchlabError(f"axis {name}: grid end {hi} is outside the "
-                               f"support [0, {upper}) of {args.dist}")
-    t_vals = np.linspace(args.t_min, t_max, args.steps)
-    ta_vals = np.linspace(args.ta_min, ta_max, args.steps)
-    return _write_table(args, stage_survival_grid(model, t_vals, ta_vals))
+    t, ta = (args.t_min, t_max), (args.ta_min, ta_max)
+    _check_axes(args.steps, t=t, ta=ta)
+    return _write_table(args, _stage_grid(dist, args.dist, args.steps, t, ta))
 
 
 def _parse_rates(raw: str | None) -> tuple[float, ...]:

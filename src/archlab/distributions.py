@@ -176,6 +176,7 @@ class Weibull(ProcessingTimeDistribution):
             out[pos] = (self.k * self.u * x[pos] ** (self.k - 1.0)
                         * np.exp(-x[pos] ** self.k))
         if self.k < 1.0:
+            self._fill_underflow(out, t_arr, pos)  # e^0 = 1: pdf = hazard
             out[t_arr == 0.0] = math.inf  # density diverges at the origin
         elif self.k == 1.0:  # u at t = 0, and where u t underflows to 0
             out[~pos & (t_arr >= 0.0)] = self.u
@@ -203,10 +204,21 @@ class Weibull(ProcessingTimeDistribution):
         x = self.u * t_arr
         out = np.zeros_like(x)
         pos = x > 0
-        out[pos] = self.u * self.k * x[pos] ** (self.k - 1.0)
-        if self.k == 1.0:
+        with np.errstate(over="ignore"):
+            out[pos] = self.u * self.k * x[pos] ** (self.k - 1.0)
+        if self.k < 1.0:
+            self._fill_underflow(out, t_arr, pos)
+        elif self.k == 1.0:
             out[~pos] = self.u
         return _ret(out, scalar)
+
+    def _fill_underflow(self, out, t_arr, pos) -> None:
+        """For k < 1, the hazard k u^k t^(k-1) (large, not 0) where t > 0
+        but ``u t`` underflows to 0."""
+        tiny = ~pos & (t_arr > 0.0)
+        if tiny.any():
+            with np.errstate(over="ignore"):
+                out[tiny] = self.k * self.u ** self.k * t_arr[tiny] ** (self.k - 1.0)
 
     def cum_hazard(self, t):
         t_arr, scalar = _prepare_support(t, "cumulative hazard")

@@ -17,11 +17,9 @@ has the same sign as
     expr4 = -2 H(t) + H(T_a + t) - H(T_a) = int_0^t [alpha(s, T_a+s) - 2] h(s) ds.
 
 Because the sign condition is an integral over s in [0, t], a single-point
-alpha can misclassify; the grid's ``pointwise_disagrees`` attribute (an
-array that no output writes) flags cells where the alpha at (t, T_a)
-contradicts the actual sign, and
-:func:`alpha_extrema` gives the extrema of alpha over the integration range
-on demand.
+alpha can misclassify: the grid's alpha at (t, T_a) may lie on the other
+side of 2 from the actual sign of the gap.  :func:`alpha_extrema` gives the
+extrema of alpha over the integration range on demand.
 
 The gap, expr4 and alpha take scalars (and return floats) or broadcastable
 arrays of (t, T_a) (and return arrays); a grid is one array call.
@@ -152,7 +150,7 @@ def _alpha(dist: ProcessingTimeDistribution, t: np.ndarray,
            t_a: np.ndarray) -> np.ndarray:
     """alpha at every cell; nan where h(t) <= 0 or a hazard is undefined."""
     h_t, h_shift = _hazard(dist, t), _hazard(dist, t_a + t)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(h_t > 0.0, h_shift / h_t, np.nan)
 
 
@@ -230,26 +228,18 @@ def alpha_extrema(model: ParallelTwoModel, t: float, t_a: float,
 
     Sampled on a geometric grid reaching down to t * 1e-9; for every
     built-in family alpha is monotone in s, so the sampled extrema bracket
-    the true ones up to the s -> 0 endpoint limit.
+    the true ones up to the s -> 0 endpoint limit.  Samples where alpha is
+    undefined are left out; (nan, nan) if none is left.
     """
     if t <= 0:
         return (math.nan, math.nan)
     s = np.geomspace(t * 1e-9, t, samples)
-    upper = model.dist.support_upper
-    if math.isfinite(upper):
-        s = s[(s < upper) & (t_a + s < upper)]
-    if s.size == 0:
+    s = s[t_a + s < model.dist.support_upper]
+    alpha = _alpha(model.dist, s, t_a)
+    alpha = alpha[~np.isnan(alpha)]
+    if alpha.size == 0:
         return (math.nan, math.nan)
-    try:
-        h_s = np.asarray(model.dist.hazard(s), dtype=float)
-        h_shift = np.asarray(model.dist.hazard(t_a + s), dtype=float)
-    except DomainError:
-        return (math.nan, math.nan)
-    valid = h_s > 0.0
-    if not np.any(valid):
-        return (math.nan, math.nan)
-    ratios = h_shift[valid] / h_s[valid]
-    return (float(np.min(ratios)), float(np.max(ratios)))
+    return (float(np.min(alpha)), float(np.max(alpha)))
 
 
 @dataclass
@@ -263,7 +253,6 @@ class StageSurvivalGrid:
     expr4: np.ndarray
     gap: np.ndarray
     sign: np.ndarray
-    pointwise_disagrees: np.ndarray
 
     columns = ("t", "Ta", "alpha", "expr4", "gap", "sign")
 
@@ -297,11 +286,8 @@ def stage_survival_grid(model: ParallelTwoModel, t_values,
         reason = _EXHAUSTED.format(t_i, ta_i) if exhausted[i] else "expr4 is nan"
         raise GridEvalError(f"grid cell (t={t_i!r}, Ta={ta_i!r}) failed: {reason}",
                             point=(t_i, ta_i))
-    alpha = _alpha(model.dist, t, ta)
-    sign = classify_sign(expr4)
-    disagrees = np.isfinite(alpha) & np.where(alpha >= 2.0, sign == "negative",
-                                              sign == "positive")
-    return StageSurvivalGrid(model, t, ta, alpha, expr4, gap, sign, disagrees)
+    return StageSurvivalGrid(model, t, ta, _alpha(model.dist, t, ta), expr4, gap,
+                             classify_sign(expr4))
 
 
 @dataclass(frozen=True)

@@ -147,8 +147,7 @@ def expression3(f_val, conv_val):
 
 @dataclass
 class DependenceProfile:
-    """Profile columns over tau, one array each; ``r_prime`` is 1/marginal_a
-    (the exponential closed-form tests target it directly)."""
+    """Profile columns over tau, one array each; ``r`` is conv/marginal_a."""
 
     model: SerialTwoModel
     tau: np.ndarray
@@ -157,7 +156,6 @@ class DependenceProfile:
     marginal_a: np.ndarray
     marginal_b: np.ndarray
     r: np.ndarray
-    r_prime: np.ndarray
     difference: np.ndarray
     sign: np.ndarray
 
@@ -188,8 +186,7 @@ def dependence_profile(model: SerialTwoModel,
     f_val, conv, marginal_a, marginal_b = _components(model, taus)
     diff = _checked_difference(model, taus, f_val, conv, marginal_a, marginal_b)
     return DependenceProfile(model, taus, f_val, conv, marginal_a, marginal_b,
-                             conv / marginal_a, 1.0 / marginal_a, diff,
-                             classify_sign(diff))
+                             conv / marginal_a, diff, classify_sign(diff))
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,56 @@ class TestFigures:
         assert code == 2 and out == ""
         assert "grid cell (t=0.0, Ta=5.0) failed: expr4 is nan" in err
 
+    @pytest.mark.parametrize("fig, dist, hi", [
+        (["fig6"], "weibull:k=2.0,u=1.0", "10"),
+        (["fig6", "--k", "4", "--u", "1.7"], "weibull:k=4.0,u=1.7", "10"),
+        (["fig6", "--k", "0.5"], "weibull:k=0.5,u=1.0", "10"),
+        (["fig7"], "uniform:v=2.0", "1"),
+        (["fig7", "--v", "3.5"], "uniform:v=3.5", "1"),
+    ])
+    def test_fig6_fig7_are_the_stage_survival_expr4(self, fig, dist, hi, capsys):
+        # the figure's axes and values are the stage-survival grid's t, Ta
+        # and expr4 columns, byte for byte
+        code, fig_out, _ = run(["figure", *fig, "--steps", "12"], capsys)
+        assert code == 0
+        code, st_out, _ = run(["stage-survival", "--dist", dist, "--t-max", hi,
+                               "--ta-max", hi, "--steps", "12"], capsys)
+        assert code == 0
+        fig_rows = [line.split(",") for line in fig_out.splitlines()[1:]]
+        st_rows = [line.split(",") for line in st_out.splitlines()[1:]]
+        assert len(fig_rows) == 144
+        assert fig_rows == [[t, ta, expr4] for t, ta, _, expr4, _, _ in st_rows]
+
+    @pytest.mark.parametrize("argv, err", [
+        (["figure", "fig6", "--k", "1000", "--steps", "3"],
+         "archlab: grid cell (t=0.0, Ta=5.0) failed: expr4 is nan\n"),
+        (["figure", "fig7", "--v", "0.5"],
+         "archlab: axis t: grid end 1.0 is outside the support [0, 0.5) of "
+         "uniform:v=0.5\n"),
+        (["stage-survival", "--dist", "uniform:v=0.5", "--t-max", "0.6"],
+         "archlab: axis t: grid end 0.6 is outside the support [0, 0.5) of "
+         "uniform:v=0.5\n"),
+        (["stage-survival", "--dist", "uniform:v=1", "--ta-max", "1"],
+         "archlab: axis Ta: grid end 1.0 is outside the support [0, 1.0) of "
+         "uniform:v=1\n"),
+    ])
+    def test_grid_error_texts(self, argv, err, capsys):
+        assert run(argv, capsys) == (2, "", err)
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig6", "--k", "300", "--steps", "12"],
+        ["stage-survival", "--dist", "weibull:k=300,u=1", "--steps", "12"],
+        ["stage-survival", "--dist", "weibull:k=300,u=1", "--t-max", "10",
+         "--steps", "3"],
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_hazards_print_no_warning(self, argv, capsys):
+        # h(T_a + t) / h(t) overflows to inf (a correct alpha); no
+        # RuntimeWarning is raised, so none reaches stderr
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        assert "inf" in out
+
     def test_fig4_json_matches_csv(self, capsys):
         code, csv_out, _ = run(["figure", "fig4", "--steps", "4"], capsys)
         assert code == 0

@@ -180,6 +180,26 @@ class TestFunctionalIdentities:
             assert name not in vars(Exponential), name
         assert "survival" not in vars(Uniform)
 
+    # k u (u t)^(k-1) e^(-(u t)^k) at u = 0.3, t = 5e-324 (where u t
+    # underflows to 0), from mpmath at 50 digits; e^(-(u t)^k) rounds to 1
+    @pytest.mark.parametrize("k, want", [(0.2, 6.9410715480477104e257),
+                                         (0.5, 1.2320782847712355e161),
+                                         (0.9, 6.5203839990983983e31)])
+    def test_weibull_small_k_where_ut_underflows(self, k, want):
+        dist = Weibull(k, 0.3)
+        for name in ("pdf", "hazard"):
+            fn = getattr(dist, name)
+            assert fn(5e-324) == pytest.approx(want, rel=1e-12), name
+            assert fn(np.array([5e-324]))[0] == fn(5e-324), name
+        assert dist.pdf(0.0) == math.inf and dist.pdf(-1.0) == 0.0
+        # cells where u t does not underflow keep the closed form bit for bit
+        t = np.array([1e-320, 1e-300, 0.5, 3.0])
+        x = 0.3 * t
+        hazard = 0.3 * k * x ** (k - 1.0)
+        assert dist.hazard(t).tobytes() == hazard.tobytes()
+        assert dist.pdf(t).tobytes() == (
+            k * 0.3 * x ** (k - 1.0) * np.exp(-x ** k)).tobytes()
+
     def test_hazard_monotonicity(self):
         t = np.linspace(0.05, 3.0, 80)
         decreasing = np.asarray(Weibull(0.6, 1.0).hazard(t))

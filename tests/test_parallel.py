@@ -135,6 +135,13 @@ class TestAlpha:
         with pytest.raises(DomainError):
             hazard_ratio_alpha(model, 0.0, 1.0)
 
+    def test_finite_where_ut_underflows(self):
+        # h(5e-324) is large, not 0, for Weibull(0.5, 0.3): alpha is defined
+        model = ParallelTwoModel(Weibull(0.5, 0.3))
+        alpha = hazard_ratio_alpha(model, 5e-324, 1.0)
+        assert alpha == pytest.approx(
+            math.sqrt(5e-324 / 1.0), rel=1e-12)  # ((t_a + t)/t)^(k-1)
+
     def test_extrema_uniform(self):
         model = ParallelTwoModel(Uniform(2.0))
         a_min, a_max = alpha_extrema(model, 0.3, 0.9)
@@ -312,8 +319,8 @@ class TestStageGrid:
     def test_records_and_disagreement_flag(self):
         model = ParallelTwoModel(Uniform(2.0))
         grid = stage_survival_grid(model, [0.3], [0.9])
-        assert grid.sign[0] == "negative"
-        assert grid.pointwise_disagrees[0]
+        # the pointwise alpha says "positive" (alpha >= 2), the sign disagrees
+        assert grid.alpha[0] >= 2.0 and grid.sign[0] == "negative"
         a_min, a_max = alpha_extrema(model, float(grid.t[0]), float(grid.ta[0]))
         assert a_min < 2.0 < a_max
 
