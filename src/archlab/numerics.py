@@ -356,12 +356,10 @@ def grid_eval(fn: Callable[[float, np.ndarray], np.ndarray],
     return GridResult(grid=grid, values=values)
 
 
-#: Rows formatted per write; bounds what a table write holds at once.
+#: Rows formatted per write; bounds the byte matrix and the temporaries a
+#: table write holds at once (about 0.4 MB for a simulate table, 0.6 MB
+#: for a dependence profile).
 _CHUNK_ROWS = 512
-
-_SPECS = {"f": "%.17g", "i": "%d", "u": "%d"}  # by dtype kind; others %s
-_JSON_NONFINITE = ((": nan", ": NaN"), (": inf", ": Infinity"),
-                   (": -inf", ": -Infinity"))
 
 
 def write_table(out, names: Sequence[str], cols: Sequence,
@@ -370,10 +368,23 @@ def write_table(out, names: Sequence[str], cols: Sequence,
 
     ``head=None`` writes CSV; a dict of str writes the JSON object
     ``{**head, "rows": [...]}`` with one object per row.  Each column's
-    dtype picks its %-format spec: ``%.17g`` for floats (it round-trips),
-    ``%d`` for ints and ``%s`` for labels, quoted but not escaped in JSON.
+    dtype picks its format: floats as ``'%.17g' % x`` (it round-trips),
+    ints as ``%d`` and anything else as the label ``%s``, quoted in JSON.
+    A label is written verbatim, so it must be printable ASCII without
+    ``,``, ``"`` or ``\\``; any other label raises :class:`ValueError`.
     JSON spells non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``,
     as :mod:`json` does.
+
+    A chunk of rows is formatted as one byte matrix, with a fixed-width
+    slot per cell whose unused bytes are deleted on output
+    (:mod:`archlab._cells`).  A float's 17 digits are its correctly
+    rounded scaled value, computed for all the float cells of the chunk at
+    once in double-double arithmetic.  The cells that arithmetic cannot
+    settle are printed one by one by ``format(x, ".17g")``: non-finite
+    values, magnitudes outside [1e-270, 1e270] (subnormals among them),
+    values whose scaled fraction lies within 1e-6 of 1/2 (a possible
+    decimal tie) and values whose 17 digits round up to 10^17.  Either way
+    the bytes equal ``'%.17g' % x``.
     """
     n = len(cols[0]) if len(cols) else 0
     if any(len(c) != n for c in cols):
@@ -395,21 +406,16 @@ def _write_chunks(out, names, chunks, head) -> None:
     if isinstance(out, (str, bytes)):
         with open(out, "w", newline="") as fh:
             return _write_chunks(fh, names, chunks, head)
+    # imported on the first write, so a command that writes no table does
+    # not compile it
+    from ._cells import format_chunk
+
     csv = head is None
     out.write(",".join(names) + "\n" if csv else "{" + "".join(
         f"{json.dumps(k)}: {json.dumps(v)}, " for k, v in head.items()) + '"rows": [')
-    sep = "" if csv else ", "
-    for i, part in enumerate(chunks):
-        part = [np.asarray(c) for c in part]
-        specs = [_SPECS.get(c.dtype.kind, "%s" if csv else '"%s"') for c in part]
-        row = ",".join(specs) + "\n" if csv else "{" + ", ".join(
-            f"{json.dumps(k)}: {spec}" for k, spec in zip(names, specs)) + "}"
-        flat = [None] * (len(part) * len(part[0]))
-        for j, c in enumerate(part):
-            flat[j::len(part)] = c.tolist()
-        text = sep.join([row] * len(part[0])) % tuple(flat)
-        if not csv:  # json's spelling of the nan and inf %.17g writes
-            for bad, good in _JSON_NONFINITE:
-                text = text.replace(bad, good)
-        out.write((sep if i else "") + text)
+    skip = 0 if csv else 2  # the first JSON row has no ", " before it
+    for part in chunks:
+        text = format_chunk(names, [np.asarray(c) for c in part], csv)
+        out.write(text.decode("ascii")[skip:])
+        skip = 0
     out.write("" if csv else "]}\n")

@@ -141,8 +141,10 @@ def _hazard(dist: ProcessingTimeDistribution, x: np.ndarray) -> np.ndarray:
     """h(x) at x >= 0; nan where survival is exhausted or where the hazard
     diverges at the origin (Weibull k < 1)."""
     h = _masked(dist.hazard, x, (x > 0.0) & ~dist.exhausted(x))
-    with suppress(DomainError):
-        h[x == 0.0] = dist.hazard(0.0)
+    zero = x == 0.0
+    if zero.any():
+        with suppress(DomainError):
+            h[zero] = dist.hazard(0.0)
     return h
 
 

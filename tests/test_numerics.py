@@ -1,9 +1,12 @@
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archlab import mc, numerics
 from archlab.distributions import Exponential, Uniform, Weibull
@@ -271,19 +274,23 @@ class TestWriteTable:
 
     @staticmethod
     def reference(names, cols, head):
-        """The table written one value at a time: str as is, int by str()
-        (json.dumps in JSON), finite floats by fmt17 and, in JSON, text and
+        """The table written one value at a time by %-formats: ``%s`` for
+        text, ``%d`` for ints and ``%.17g`` for floats, and in JSON text and
         non-finite floats by json.dumps."""
         rows = list(zip(*(np.asarray(c).tolist() for c in cols)))
+
+        def text(v):
+            return "%s" % v if isinstance(v, str) else "%d" % v \
+                if isinstance(v, int) else "%.17g" % v
+
         if head is None:
-            cells = [[v if isinstance(v, str) else str(v) if isinstance(v, int)
-                      else fmt17(v) for v in row] for row in rows]
+            cells = [[text(v) for v in row] for row in rows]
             return "".join(",".join(r) + "\n" for r in [list(names)] + cells)
 
         def cell(v):
-            if isinstance(v, (str, int)) or not math.isfinite(v):
+            if isinstance(v, str) or isinstance(v, float) and not math.isfinite(v):
                 return json.dumps(v)
-            return fmt17(v)
+            return text(v)
 
         objs = ["{" + ", ".join(f"{json.dumps(k)}: {cell(v)}"
                                 for k, v in zip(names, row)) + "}" for row in rows]
@@ -323,6 +330,75 @@ class TestWriteTable:
         assert path.read_text() == self.reference(self.NAMES, self.cols(), None)
         with pytest.raises(ValueError, match="differ in length"):
             write_table(io.StringIO(), ("a", "b"), (np.zeros(2), np.zeros(3)))
+
+    def assert_exact(self, *cols):
+        """CSV and JSON of ``cols`` equal the %-format reference; a failure
+        names the first differing rows, not a diff of the whole text."""
+        names = tuple(f"c{j}" for j in range(len(cols)))
+        for head in (None, {"figure": "x"}):
+            got, want = (re.split(r"\n|, \{", text) for text in (
+                self.written(names, cols, head), self.reference(names, cols, head)))
+            bad = [(g, w) for g, w in zip(got, want) if g != w]
+            assert len(got) == len(want) and not bad, bad[:5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=64))
+    def test_raw_bit_patterns(self, bits):
+        self.assert_exact(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_every_binade(self):
+        rng = np.random.default_rng(11)
+        exponent = np.repeat(np.arange(2048, dtype=np.uint64), 40) << np.uint64(52)
+        mantissa = rng.integers(0, 2 ** 52, exponent.size, dtype=np.uint64)
+        sign = rng.integers(0, 2, exponent.size, dtype=np.uint64) << np.uint64(63)
+        self.assert_exact((sign | exponent | mantissa).view(np.float64))
+
+    def test_powers_of_ten_and_neighbours(self):
+        tens = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        near = np.concatenate([tens, np.nextafter(tens, 0.0),
+                               np.nextafter(tens, np.inf)])
+        self.assert_exact(np.concatenate([near, -near]))
+        # the exponent must be fixed from the whole double-double, not its
+        # leading part: 1e-28 is just below 10^-28, so E = -29, and the
+        # leading part of 1e-28 * 10^45 rounds up to 10^17
+        assert self.written(("x",), (np.array([1e-28]),)) == \
+            "x\n9.9999999999999997e-29\n"
+
+    def test_exact_decimal_ties(self):
+        # m / 2^18 has 18 significant digits ending in 5: a tie at 17
+        ties = np.arange(26215, 262144, 2) / 2.0 ** 18
+        assert "%.18g" % ties[0] == "0.100002288818359375"
+        self.assert_exact(ties, -ties)
+
+    def test_special_floats_and_ints(self):
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                         2.2250738585072014e-308, 1e-270, 1e270, 1.7976931348623157e308,
+                         math.inf, -math.inf, math.nan, 1e16, 1e17, 0.0001, 1e-5])
+        self.assert_exact(tiny)
+        ints = np.array([0, -1, 9, -10, 10 ** 17, -(10 ** 18), 2 ** 63 - 1,
+                         -(2 ** 63), 0, 42, -7, 1000, -9999, 10000, 123456789,
+                         -99999999])
+        self.assert_exact(ints, tiny)
+        self.assert_exact(np.array([0, 1, 2 ** 64 - 1, 10 ** 19], dtype=np.uint64))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_tables_around_the_chunk_size(self, offset):
+        n = numerics._CHUNK_ROWS + offset
+        rng = np.random.default_rng(n)
+        x = rng.weibull(0.7, n) * 10.0 ** rng.integers(-8, 8, n)
+        labels = np.array(["a_first", "b_first", ""], dtype=object)[np.arange(n) % 3]
+        self.assert_exact(np.arange(n) - 5, labels, x, -x)
+        self.assert_exact(x[:1], labels[:1], np.arange(1))
+
+    @pytest.mark.parametrize("label", ["é", "a,b", 'say "x"', "a\\b", "a\rb",
+                                       "a\nb", "tab\t", "a\x00b"])
+    def test_labels_that_cannot_be_written_verbatim(self, label):
+        for col in (np.array(["ok", label], dtype=object), np.array(["ok", label])):
+            for head in (None, {}):
+                with pytest.raises(ValueError, match="cannot write the label"):
+                    write_table(io.StringIO(), ("label",), (col,), head)
+        with pytest.raises(ValueError, match="cannot write the label"):
+            write_rows_csv(io.StringIO(), ("n", "label"), [(1, label)])
 
     @pytest.mark.parametrize("chunk", [1, 3, numerics._CHUNK_ROWS])
     def test_rows_adapter_matches_columns(self, monkeypatch, chunk):

@@ -154,6 +154,22 @@ class TestAlpha:
         assert a_min == pytest.approx(2.0, abs=1e-9)
         assert a_max > 100.0  # alpha diverges toward s -> 0
 
+    def test_extrema_call_no_scalar_hazard(self):
+        # h(0) is looked up only for cells at exactly 0; the samples are > 0
+        calls = []
+
+        class Counting(Weibull):
+            def hazard(self, t):
+                calls.append(np.size(t) if np.ndim(t) else float(t))
+                return super().hazard(t)
+
+        alpha_extrema(ParallelTwoModel(Counting(2.0, 1.0)), 1.0, 2.0)
+        assert calls == [65, 65]
+        calls.clear()
+        with pytest.raises(DomainError):
+            hazard_ratio_alpha(ParallelTwoModel(Counting(2.0, 1.0)), 0.0, 1.0)
+        assert 0.0 in calls
+
 
 class TestStageGap:
     def test_exponential_values(self):
