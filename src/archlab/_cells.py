@@ -51,14 +51,16 @@ def format_chunk(names, cols, csv: bool) -> bytearray:
 
 def _label_text(col: np.ndarray) -> np.ndarray:
     """``%s`` of each cell as a NUL-padded byte matrix; raises ValueError on
-    a label that CSV or JSON could not hold verbatim."""
-    for value in set(col.tolist()):
-        text = str(value)
+    a label that CSV or JSON could not hold verbatim.  A bytes column is
+    taken as it is; a bytes label is checked decoded as Latin-1."""
+    is_bytes = col.dtype.kind == "S"
+    for value in np.unique(col).tolist() if is_bytes else set(col.tolist()):
+        text = value.decode("latin-1") if isinstance(value, bytes) else str(value)
         if not (text.isascii() and text.isprintable()) or any(
                 c in text for c in ',"\\'):
             raise ValueError(f"cannot write the label {text!r}: labels must be "
                              'printable ASCII without ",", \'"\' or "\\"')
-    labels = col.astype("S")
+    labels = np.ascontiguousarray(col) if is_bytes else col.astype("S")
     return labels.view(np.uint8).reshape(labels.size, labels.itemsize)
 
 

@@ -48,16 +48,22 @@ class RngState:
         return np.random.Generator(np.random.Philox(ss))
 
 
-def uniform_blocks(seed: int, n_trials: int,
-                   draws_per_trial: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, uniforms[block_len, draws_per_trial]) blocks."""
+def uniform_blocks(seed: int, n_trials: int, draws_per_trial: int,
+                   out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start_index, uniforms[block_len, draws_per_trial]) blocks.
+
+    With ``out``, a C-contiguous (min(n_trials, BLOCK_TRIALS),
+    draws_per_trial) float array, every block is drawn into its leading
+    rows, so a block must be used before the next one is drawn; the draws
+    are the same either way."""
     if n_trials < 1:
         raise DomainError(f"n_trials must be >= 1, got {n_trials}")
     for block in range(0, (n_trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
         start = block * BLOCK_TRIALS
         length = min(BLOCK_TRIALS, n_trials - start)
         gen = RngState(seed, block).generator()
-        yield start, gen.random((length, draws_per_trial))
+        yield start, (gen.random((length, draws_per_trial)) if out is None
+                      else gen.random(out=out[:length]))
 
 
 def sample_iid(dist: "ProcessingTimeDistribution", n_trials: int,
@@ -69,7 +75,7 @@ def sample_iid(dist: "ProcessingTimeDistribution", n_trials: int,
     return out
 
 
-_ORDERS = np.array(["a_first", "b_first"], dtype=object)
+_ORDERS = np.array([b"a_first", b"b_first"])  # S7, indexed by b_first
 
 
 @dataclass
@@ -88,8 +94,8 @@ class Trials:
     columns = ("trial", "order", "t1", "t2", "total_a", "total_b")
 
     def table(self) -> tuple[np.ndarray, ...]:
-        """The ``columns``; ``order`` is an object array of two shared str."""
-        return (np.arange(len(self)), _ORDERS[self.order_b_first.view(np.uint8)],
+        """The ``columns``; ``order`` is a fixed-width bytes column."""
+        return (np.arange(len(self)), _ORDERS.take(self.order_b_first.view(np.uint8)),
                 self.t1, self.t2, self.total_a, self.total_b)
 
     def to_csv(self, out) -> None:
@@ -175,27 +181,64 @@ def run_theorem1_mc(n_samples: int, seed: int) -> Theorem1Result:
     which over-covers: it includes (alpha, beta) combinations that no
     single processing-time distribution realizes at any one time point.
     The per-family dependence analyses cover the realizable subsets.
+
+    Each block is drawn into one buffer and counted in place on a few
+    scratch rows (:func:`_sign_counts`), with no per-block temporaries.
+    Every retained pair goes through the same floating-point operations as
+    the expression above, so the counts, and the printed bytes, are those
+    of evaluating it on the retained pairs alone.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    m = min(n_samples, BLOCK_TRIALS)
+    u = np.empty((m, 2))
+    work = np.empty((4, m))
+    flags = np.empty((2, m), dtype=bool)
     n_cond = 0
     n_pos = 0
-    for _, u in uniform_blocks(seed, n_samples, 2):
-        alpha = u[:, 0]
-        beta = alpha + (1.0 - alpha) * u[:, 1]
-        keep = (alpha > 0.0) & (beta * beta >= alpha)
-        a = alpha[keep]
-        b = beta[keep]
-        root = np.sqrt(a)
-        expr3 = 1.0 - b - 0.25 * (root - b / root) ** 2
-        n_cond += int(keep.sum())
-        n_pos += int((expr3 > 0.0).sum())
+    for _, block in uniform_blocks(seed, n_samples, 2, out=u):
+        kept, positive = _sign_counts(block, work, flags)
+        n_cond += kept
+        n_pos += positive
     if n_cond == 0:
         raise McError(f"no conditioned samples out of {n_samples}")
     frac = n_pos / n_cond
     stderr = math.sqrt(frac * (1.0 - frac) / n_cond)
     return Theorem1Result(n_samples=n_samples, n_conditioned=n_cond,
                           fraction_positive=frac, stderr=stderr, seed=seed)
+
+
+def _sign_counts(u: np.ndarray, work: np.ndarray,
+                 flags: np.ndarray) -> tuple[int, int]:
+    """(retained, positive) pairs among the uniform pairs ``u[:, :2]``, as
+    :func:`run_theorem1_mc` defines them, computed on the scratch rows
+    ``work`` ((4, >= len(u)) float) and ``flags`` ((2, >= len(u)) bool).
+
+    The kernel runs on every pair, retained or not; where alpha = 0 its
+    division is by zero, so those warnings are silenced, and such a pair
+    is never retained."""
+    m = u.shape[0]
+    alpha, beta, sq, expr3 = (row[:m] for row in work)
+    keep, pos = (row[:m] for row in flags)
+    np.copyto(alpha, u[:, 0])
+    np.subtract(1.0, alpha, out=beta)
+    np.multiply(beta, u[:, 1], out=beta)
+    np.add(alpha, beta, out=beta)  # alpha + (1 - alpha) u1
+    np.multiply(beta, beta, out=sq)
+    np.greater_equal(sq, alpha, out=keep)
+    np.greater(alpha, 0.0, out=pos)
+    np.logical_and(keep, pos, out=keep)
+    root = np.sqrt(alpha, out=sq)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(beta, root, out=expr3)
+        np.subtract(root, expr3, out=expr3)
+        np.square(expr3, out=expr3)
+        np.multiply(0.25, expr3, out=expr3)
+        np.subtract(1.0, beta, out=beta)
+        np.subtract(beta, expr3, out=expr3)  # (1 - beta) - (...)^2 / 4
+        np.greater(expr3, 0.0, out=pos)
+    np.logical_and(pos, keep, out=pos)
+    return int(np.count_nonzero(keep)), int(np.count_nonzero(pos))
 
 
 @dataclass(frozen=True)

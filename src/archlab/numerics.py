@@ -357,9 +357,9 @@ def grid_eval(fn: Callable[[float, np.ndarray], np.ndarray],
 
 
 #: Rows formatted per write; bounds the byte matrix and the temporaries a
-#: table write holds at once (about 0.4 MB for a simulate table, 0.6 MB
+#: table write holds at once (about 0.8 MB for a simulate table, 1.2 MB
 #: for a dependence profile).
-_CHUNK_ROWS = 512
+_CHUNK_ROWS = 1024
 
 
 def write_table(out, names: Sequence[str], cols: Sequence,

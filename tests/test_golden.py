@@ -72,6 +72,8 @@ CASES = {
                                      "1,2,3", "--n", "1000", "--seed", "11"],
     "theorem1.json": ["theorem1", "--n", "10000"],
     "theorem1.csv": ["theorem1", "--n", "10000", *_CSV],
+    # 3 * BLOCK_TRIALS + 5 samples: three block seams and a partial block
+    "theorem1-blocks.json": ["theorem1", "--n", "196613"],
     "fit.json": ["fit", "--input", FIT_INPUT],
     "fit.csv": ["fit", "--input", FIT_INPUT, *_CSV],
     "verify.txt": ["verify"],

@@ -91,6 +91,61 @@ class TestTheorem1:
             mc.run_theorem1_mc(0, 1)
 
 
+def _compacted_counts(u):
+    """The kernel evaluated on the retained pairs only, as it was first
+    written: the oracle for the in-place count."""
+    alpha = u[:, 0]
+    beta = alpha + (1.0 - alpha) * u[:, 1]
+    keep = (alpha > 0.0) & (beta * beta >= alpha)
+    a, b = alpha[keep], beta[keep]
+    root = np.sqrt(a)
+    expr3 = 1.0 - b - 0.25 * (root - b / root) ** 2
+    return int(keep.sum()), int((expr3 > 0.0).sum())
+
+
+def _in_place_counts(u, scratch_rows=None):
+    m = scratch_rows or len(u)
+    return mc._sign_counts(u, np.empty((4, m)), np.empty((2, m), dtype=bool))
+
+
+class TestTheorem1InPlace:
+    B = mc.BLOCK_TRIALS
+
+    @pytest.mark.parametrize("seed", [1, 7, mc.DEFAULT_SEED])
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 3 * B + 5])
+    def test_counts_match_the_compacted_form(self, n, seed):
+        kept, positive = map(sum, zip(*(_compacted_counts(u) for _, u in
+                                        mc.uniform_blocks(seed, n, 2))))
+        if kept == 0:
+            with pytest.raises(McError):
+                mc.run_theorem1_mc(n, seed)
+            return
+        res = mc.run_theorem1_mc(n, seed)
+        assert res.n_conditioned == kept
+        assert res.fraction_positive == positive / kept
+
+    def test_blocks_drawn_into_a_buffer_match_fresh_draws(self):
+        buf = np.empty((self.B, 3))
+        for (s1, fresh), (s2, reused) in zip(
+                mc.uniform_blocks(5, 2 * self.B + 9, 3),
+                mc.uniform_blocks(5, 2 * self.B + 9, 3, out=buf)):
+            assert s1 == s2 and np.array_equal(fresh, reused)
+            assert np.shares_memory(reused, buf)
+
+    def test_alpha_zero_is_excluded_without_a_warning(self):
+        # alpha = 0 divides by zero (and 0 / 0 with u1 = 0) in the kernel;
+        # RuntimeWarning is an error in this suite
+        u = np.random.default_rng(3).random((200, 2))
+        u[[0, 57, 199], 0] = 0.0
+        u[57, 1] = 0.0
+        u[[10, 11], 0] = [2.0 ** -53, 2.0 ** -52]  # the least nonzero draws
+        assert _in_place_counts(u) == _compacted_counts(u)
+        assert _in_place_counts(u, scratch_rows=500) == _compacted_counts(u)
+        assert _in_place_counts(u[[0, 57, 199]]) == (0, 0)
+        kept, _ = _in_place_counts(u)
+        assert kept == _in_place_counts(np.delete(u, [0, 57, 199], axis=0))[0]
+
+
 class TestSimulateSerial:
     def test_forced_order(self):
         model = SerialTwoModel(Exponential(1.0), 1.0)
@@ -233,3 +288,10 @@ class TestTraceCsv:
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "trial,order,t1,t2,total_a,total_b"
+
+    def test_order_is_a_fixed_width_bytes_column(self):
+        trials = mc.simulate_serial(SerialTwoModel(Exponential(1.0), 0.5), 50, 1)
+        order = trials.table()[1]
+        assert order.dtype == np.dtype("S7")
+        assert order.tolist() == [b"b_first" if b else b"a_first"
+                                  for b in trials.order_b_first]

@@ -261,6 +261,11 @@ def test_fmt17_roundtrip():
     assert fmt17(float("inf")) == "inf"
 
 
+#: Chunk sizes the writer is tested at: fixed ones, so that a test's ID does
+#: not move with the writer's chunk size, and that size itself.
+CHUNKS = sorted({1, 3, 10, 512, numerics._CHUNK_ROWS})
+
+
 class TestWriteTable:
     NAMES = ("x", "n", "label")
     FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e300, -2.5,
@@ -303,7 +308,7 @@ class TestWriteTable:
         write_table(buf, names, cols, head)
         return buf.getvalue()
 
-    @pytest.mark.parametrize("chunk", [1, 3, 10, numerics._CHUNK_ROWS])
+    @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("head", [None, {}, {"figure": "fig4"}])
     def test_bytes_independent_of_chunk_size(self, monkeypatch, chunk, head):
         monkeypatch.setattr(numerics, "_CHUNK_ROWS", chunk)
@@ -393,14 +398,28 @@ class TestWriteTable:
     @pytest.mark.parametrize("label", ["é", "a,b", 'say "x"', "a\\b", "a\rb",
                                        "a\nb", "tab\t", "a\x00b"])
     def test_labels_that_cannot_be_written_verbatim(self, label):
-        for col in (np.array(["ok", label], dtype=object), np.array(["ok", label])):
+        for col in (np.array(["ok", label], dtype=object), np.array(["ok", label]),
+                    np.array([b"ok", label.encode()]),
+                    np.array([b"ok", label.encode()], dtype=object)):
             for head in (None, {}):
                 with pytest.raises(ValueError, match="cannot write the label"):
                     write_table(io.StringIO(), ("label",), (col,), head)
         with pytest.raises(ValueError, match="cannot write the label"):
             write_rows_csv(io.StringIO(), ("n", "label"), [(1, label)])
 
-    @pytest.mark.parametrize("chunk", [1, 3, numerics._CHUNK_ROWS])
+    @pytest.mark.parametrize("dtype", [object, "U", "S"])
+    def test_label_columns_of_any_dtype(self, dtype):
+        labels = np.array(self.LABELS, dtype=dtype)
+        cols = (np.array(self.FLOATS), np.array(self.INTS), labels)
+        for head in (None, {}):
+            assert self.written(self.NAMES, cols, head) == \
+                self.reference(self.NAMES, self.cols(), head)
+        strided = labels.repeat(2)[1::2]
+        assert not strided.flags.contiguous
+        assert self.written(("label",), (strided,)) == \
+            self.written(("label",), (self.cols()[2],))
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
     def test_rows_adapter_matches_columns(self, monkeypatch, chunk):
         monkeypatch.setattr(numerics, "_CHUNK_ROWS", chunk)
         rows = zip(self.FLOATS, self.INTS, self.LABELS)
