@@ -11,7 +11,6 @@ cell.
 from __future__ import annotations
 
 import functools
-import json
 import math
 
 import numpy as np
@@ -38,7 +37,7 @@ def format_chunk(names, cols, csv: bool) -> bytearray:
         if csv:
             row += b"," if j else b""
         else:
-            row += (b", " if j else b", {") + json.dumps(name).encode() + b": " + quote
+            row += (b", " if j else b", {") + _dumps(name).encode() + b": " + quote
         spans.append((len(row), slots[j]))
         row += bytes(slots[j].shape[1]) + quote
     row += b"\n" if csv else b"}"
@@ -47,6 +46,13 @@ def format_chunk(names, cols, csv: bool) -> bytearray:
     for at, cells in spans:
         mat[:, at:at + cells.shape[1]] = cells
     return buf.translate(None, b"\0")
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value)``, importing json only when JSON is written."""
+    import json
+
+    return json.dumps(value)
 
 
 def _label_text(col: np.ndarray) -> np.ndarray:
@@ -286,7 +292,7 @@ def _float_text(cols: list[np.ndarray], csv: bool) -> np.ndarray:
     text = words.view(np.uint8)
     slow = np.flatnonzero(~ok)
     if slow.size:
-        cells = [format(v, ".17g") if csv or math.isfinite(v) else json.dumps(v)
+        cells = [format(v, ".17g") if csv or math.isfinite(v) else _dumps(v)
                  for v in x[slow].tolist()]
         text[slow] = np.array(cells, dtype="S48").view(np.uint8).reshape(-1, 48)
     return text

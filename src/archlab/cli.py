@@ -13,23 +13,24 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import stat
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import mc, recall, verify
 from .distributions import (ProcessingTimeDistribution, Uniform,
                             Weibull, parse_spec)
 from .errors import ArchlabError, DistSpecError, UsageError
 from .numerics import (Axis, GridResult, GridSpec, convolve_cdf, fmt17,
                        grid_eval, write_table)
-from .parallel import ParallelTwoModel, StageSurvivalGrid, stage_survival_grid
-from .serial import SerialTwoModel, dependence_profile, expression3
+
+# Each command imports the modules it runs (serial, parallel, mc, recall,
+# verify) in its handler, so start-up compiles only what the command uses.
+if TYPE_CHECKING:
+    from .parallel import StageSurvivalGrid
 
 _FIG_DEFAULT_K = {"fig4": 0.5, "fig5": 0.2, "fig6": 2.0}
 
@@ -103,7 +104,7 @@ def _build_parser() -> _Parser:
 
     th = sub.add_parser("theorem1", help="order-constrained sign Monte Carlo")
     th.add_argument("--n", type=int, default=1_000_000)
-    th.add_argument("--seed", type=int, default=mc.DEFAULT_SEED)
+    th.add_argument("--seed", type=int, default=None)  # mc.DEFAULT_SEED
     th.add_argument("--out", default=None)
     th.add_argument("--format", choices=["csv", "json"], default="json")
 
@@ -136,7 +137,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--rates", default=None,
                      help="comma-separated rates for recall models")
     sim.add_argument("--n", type=int, default=10_000)
-    sim.add_argument("--seed", type=int, default=mc.DEFAULT_SEED)
+    sim.add_argument("--seed", type=int, default=None)  # mc.DEFAULT_SEED
     sim.add_argument("--out", default=None)
     sim.add_argument("--format", choices=["csv", "json"], default="csv")
 
@@ -165,6 +166,8 @@ def _write_report(args, payload: dict) -> int:
     """Write a one-row report as CSV or as a JSON object: floats at 17
     significant digits (non-finite ones as json spells them, in JSON) and
     everything else as JSON literals."""
+    import json
+
     csv = args.format == "csv"
     cells = [fmt17(v) if isinstance(v, float) and (csv or math.isfinite(v))
              else json.dumps(v) for v in payload.values()]
@@ -199,6 +202,8 @@ def _stage_grid(dist: ProcessingTimeDistribution, name: str, steps: int,
     """The stage-survival grid of ``dist`` over ``steps`` points of each
     (lo, hi) range, once both ranges end inside the support; ``name``
     spells ``dist`` in the error message."""
+    from .parallel import ParallelTwoModel, stage_survival_grid
+
     upper = dist.support_upper
     for axis, (_, hi) in (("t", t), ("Ta", ta)):
         if hi >= upper:
@@ -212,6 +217,8 @@ def _cmd_figure(args) -> int:
     steps = args.steps
     _check_axes(steps)
     if args.id in ("fig4", "fig5"):
+        from .serial import expression3
+
         k = args.k if args.k is not None else _FIG_DEFAULT_K[args.id]
         grid = GridSpec(axes=(Axis("u", 0.5, 10.0, steps),
                               Axis("tau", 0.01, 5.0, steps)))
@@ -237,10 +244,15 @@ def _cmd_figure(args) -> int:
 def _cmd_theorem1(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
-    return _write_report(args, mc.run_theorem1_mc(args.n, args.seed).to_json_dict())
+    from . import mc
+
+    seed = mc.DEFAULT_SEED if args.seed is None else args.seed
+    return _write_report(args, mc.run_theorem1_mc(args.n, seed).to_json_dict())
 
 
 def _cmd_dependence(args) -> int:
+    from .serial import SerialTwoModel, dependence_profile
+
     dist = _parse_dist(args.dist)
     model = SerialTwoModel(dist, args.p)
     tau_max = args.tau_max
@@ -274,22 +286,28 @@ def _parse_rates(raw: str | None) -> tuple[float, ...]:
 def _cmd_simulate(args) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be >= 1, got {args.n}")
+    from . import mc
+
+    seed = mc.DEFAULT_SEED if args.seed is None else args.seed
     if args.arch in ("serial", "parallel"):
         if args.dist is None:
             raise UsageError(f"--dist is required for --arch {args.arch}")
         dist = _parse_dist(args.dist)
         if args.arch == "serial":
+            from .serial import SerialTwoModel
             trials = mc.simulate_serial(SerialTwoModel(dist, args.p),
-                                        args.n, args.seed)
+                                        args.n, seed)
         else:
-            trials = mc.simulate_parallel(ParallelTwoModel(dist),
-                                          args.n, args.seed)
+            from .parallel import ParallelTwoModel
+            trials = mc.simulate_parallel(ParallelTwoModel(dist), args.n, seed)
         return _write_table(args, trials)
+
+    from . import recall
 
     model = recall.RecallModel(_parse_rates(args.rates))
     sampler = (recall.sample_vu_serial if args.arch == "recall-serial"
                else recall.sample_parallel_expo)
-    return _write_table(args, sampler(model, args.n, args.seed))
+    return _write_table(args, sampler(model, args.n, seed))
 
 
 def _read_times(path: str) -> np.ndarray:
@@ -322,12 +340,16 @@ def _read_times(path: str) -> np.ndarray:
 
 def _cmd_fit(args) -> int:
     data = _read_times(args.input)
-    fit = recall.weibull_mle(data)
+    from .recall import weibull_mle
+
+    fit = weibull_mle(data)
     return _write_report(args, fit.to_json_dict(n=int(data.size), seed=None))
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_suite(args.suite)
+    from .verify import run_suite
+
+    results = run_suite(args.suite)
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"

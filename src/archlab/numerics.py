@@ -19,7 +19,6 @@ exceeds their share of the tolerance are bisected.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import islice
@@ -411,8 +410,13 @@ def _write_chunks(out, names, chunks, head) -> None:
     from ._cells import format_chunk
 
     csv = head is None
-    out.write(",".join(names) + "\n" if csv else "{" + "".join(
-        f"{json.dumps(k)}: {json.dumps(v)}, " for k, v in head.items()) + '"rows": [')
+    if csv:
+        out.write(",".join(names) + "\n")
+    else:
+        import json
+
+        out.write("{" + "".join(f"{json.dumps(k)}: {json.dumps(v)}, "
+                                for k, v in head.items()) + '"rows": [')
     skip = 0 if csv else 2  # the first JSON row has no ", " before it
     for part in chunks:
         text = format_chunk(names, [np.asarray(c) for c in part], csv)

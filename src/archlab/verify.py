@@ -216,11 +216,22 @@ def _check_uniform_regimes() -> CheckResult:
 # ---------------------------------------------------------------- mc
 
 def _check_theorem1_fraction() -> CheckResult:
-    res = mc.run_theorem1_mc(1_000_000, mc.DEFAULT_SEED)
-    ok = abs(res.fraction_positive - 0.62) <= 0.01
+    # A pair is kept with probability int_0^1 da / (1 + sqrt a) = 2 (1 - ln 2),
+    # and kept and positive with int_0^1 sqrt(a) / (1 + sqrt a) da = 2 ln 2 - 1.
+    n = 1_000_000
+    res = mc.run_theorem1_mc(n, mc.DEFAULT_SEED)
+    p_keep = 2.0 * (1.0 - math.log(2.0))
+    exact = (2.0 * math.log(2.0) - 1.0) / p_keep
+    z_frac = abs(res.fraction_positive - exact) / math.sqrt(
+        exact * (1.0 - exact) / res.n_conditioned)
+    z_kept = abs(res.n_conditioned - n * p_keep) / math.sqrt(
+        n * p_keep * (1.0 - p_keep))
     return CheckResult("mc", "order_constrained_sign_fraction",
-                       ok, f"fraction = {res.fraction_positive:.5f} "
-                           f"(target 0.62 +- 0.01, stderr {res.stderr:.5f})")
+                       z_frac <= 4.0 and z_kept <= 4.0,
+                       f"fraction = {res.fraction_positive:.5f} is "
+                       f"{z_frac:.2f} sigma from exact {exact:.7f}, "
+                       f"n_conditioned = {res.n_conditioned} is {z_kept:.2f} "
+                       f"sigma from n 2(1 - ln 2) (bound 4 sigma)")
 
 
 def _check_theorem1_stability() -> CheckResult:
@@ -333,11 +344,12 @@ def _check_equivalence() -> CheckResult:
         model = recall.RecallModel(rates)
         a = recall.sample_vu_serial(model, 100_000, 2024)
         b = recall.sample_parallel_expo(model, 100_000, 4048)
-        index = {p: i for i, p in enumerate(permutations(range(n)))}
-        counts = np.zeros((2, len(index)))
-        for row, trials in enumerate((a, b)):
-            orders, seen = np.unique(trials.orders, axis=0, return_counts=True)
-            counts[row, [index[tuple(o)] for o in orders.tolist()]] = seen
+        # an order is the base-n number of its item indices; the columns
+        # are the orders in permutations() sequence
+        place = n ** np.arange(n)
+        columns = np.array(list(permutations(range(n)))) @ place
+        counts = np.array([np.bincount(t.orders @ place, minlength=n ** n)[columns]
+                           for t in (a, b)], dtype=float)
         _, p_chi2, _, _ = stats.chi2_contingency(counts)
         min_p = min(min_p, float(p_chi2))
         for j in range(n):

@@ -437,3 +437,89 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", code, str(src)],
                               capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
+
+    # Prints, last, the archlab submodules and whether json is loaded after
+    # the body runs in a fresh interpreter; argv[1] is src/, argv[2:] the
+    # arguments for the body.
+    PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+{body}
+loaded = sorted(m[len("archlab."):] for m in sys.modules
+                if m.startswith("archlab."))
+had_json = "json" in sys.modules
+import json
+print(json.dumps({{"archlab": loaded, "json": had_json}}))
+"""
+
+    def _probe(self, body: str, *args: str) -> dict:
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", self.PROBE.format(body=body), str(src), *args],
+            capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_bare_import_loads_no_submodule(self):
+        assert self._probe("import archlab") == {"archlab": [], "json": False}
+
+    def test_cli_import_loads_only_parsing_modules(self):
+        assert self._probe("import archlab.cli") == {
+            "archlab": ["cli", "distributions", "errors", "numerics"],
+            "json": False}
+
+    # (argv, the command modules it loads, whether it loads json)
+    COMMANDS = [
+        (["figure", "fig4", "--steps", "2"], ["serial"], False),
+        (["figure", "fig5", "--steps", "2", "--format", "json"], ["serial"], True),
+        (["figure", "fig6", "--steps", "2"], ["parallel"], False),
+        (["figure", "fig7", "--steps", "2"], ["parallel"], False),
+        (["dependence", "--dist", "exp:u=1", "--steps", "2"], ["serial"], False),
+        (["stage-survival", "--dist", "exp:u=1", "--steps", "2"],
+         ["parallel"], False),
+        (["theorem1", "--n", "100"], ["mc"], True),
+        (["simulate", "serial", "--dist", "exp:u=1", "--n", "3"],
+         ["mc", "serial"], False),
+        (["simulate", "parallel", "--dist", "exp:u=1", "--n", "3"],
+         ["mc", "parallel"], False),
+        (["simulate", "recall-parallel", "--rates", "1,2", "--n", "3"],
+         ["mc", "recall"], False),
+        (["fit", "--input", str(Path(__file__).parent / "golden" / "fit_input.csv")],
+         ["mc", "recall"], True),
+        (["verify", "--suite", "analysis"],
+         ["mc", "parallel", "recall", "serial", "verify"], False),
+    ]
+
+    @pytest.mark.parametrize("argv, modules, uses_json", COMMANDS,
+                             ids=[" ".join(a for a in argv[:2] if a[0] != "-")
+                                  for argv, _, _ in COMMANDS])
+    def test_command_loads_only_its_modules(self, argv, modules, uses_json):
+        found = self._probe("from archlab.cli import main\n"
+                            "assert main(sys.argv[2:]) == 0", *argv)
+        command_modules = {"mc", "recall", "serial", "parallel", "verify"}
+        assert sorted(command_modules.intersection(found["archlab"])) == modules
+        assert found["json"] == uses_json
+
+    SUBMODULES = ("cli", "distributions", "errors", "mc", "numerics",
+                  "parallel", "recall", "serial", "verify")
+
+    def test_package_lists_names_before_loading_them(self):
+        found = self._probe(
+            "import archlab\n"
+            f"missing = {{*archlab.__all__, *{self.SUBMODULES}}} - set(dir(archlab))\n"
+            "assert not missing, missing")
+        assert found["archlab"] == []
+
+    def test_package_names_resolve_lazily(self):
+        import archlab
+        namespace: dict = {}
+        exec("from archlab import *", namespace)
+        for name in archlab.__all__:
+            value = getattr(archlab, name)
+            assert namespace[name] is value
+            if name != "__version__":
+                home = sys.modules[f"archlab.{archlab._HOME[name]}"]
+                assert getattr(home, name) is value
+        for module in self.SUBMODULES:
+            assert getattr(archlab, module) is sys.modules[f"archlab.{module}"]
+        with pytest.raises(AttributeError, match="no attribute 'KERNEL_BACKEND'"):
+            archlab.KERNEL_BACKEND
