@@ -1,298 +1,270 @@
-"""Table cells as text: the byte-matrix formatter behind
+"""Table cells as text: the formatter behind
 :func:`archlab.numerics.write_table`.
 
-A chunk of rows is laid out as one row-major byte matrix in which every
-cell has a fixed-width slot; the bytes a cell leaves unused are NUL, and
-deleting every NUL leaves the text.  Floats print as ``'%.17g' % x``, ints
-as ``%d`` and labels as ``%s``, byte for byte, with no Python object per
-cell.
+A :class:`Table` plans its row once: every cell and every run of literal
+text (separators, JSON keys) gets a whole number of 8-byte words, and the
+bytes a cell leaves unused are NUL.  A chunk is computed into one
+(words, rows) uint64 matrix, a matrix row per word of the text row, so that
+numpy reads and writes contiguous memory; the transpose, with every NUL
+deleted, is the text.  Floats print as ``'%.17g' % x`` (:mod:`._floats`),
+ints as ``%d`` and labels as ``%s``, byte for byte, with no Python object
+per cell.  The float code is a module of its own so that, run from source,
+each is compiled with half the memory.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from ._floats import dumps, float_words, tables as _float_tables
 
-def format_chunk(names, cols, csv: bool) -> bytearray:
-    """The rows of the equal-length ``cols``, keyed by ``names`` in JSON, as
-    ASCII: CSV lines, or JSON objects each led by ", "."""
-    n = len(cols[0])
-    kinds = ["f" if c.dtype.kind == "f" else "i" if c.dtype.kind in "iu" else "s"
-             for c in cols]
-    slots = {}
-    for kind, text in (("f", functools.partial(_float_text, csv=csv)),
-                       ("i", _int_text)):
-        at = [j for j, k in enumerate(kinds) if k == kind]
-        if at:  # all cells of a kind at once, in row-major order
-            cells = text([cols[j] for j in at]).reshape(n, len(at), -1)
-            slots.update((j, cells[:, i]) for i, j in enumerate(at))
-    row, spans = b"", []
-    for j, (name, kind) in enumerate(zip(names, kinds)):
-        if kind == "s":
-            slots[j] = _label_text(cols[j])
-        quote = b'"' if kind == "s" and not csv else b""
-        if csv:
-            row += b"," if j else b""
-        else:
-            row += (b", " if j else b", {") + _dumps(name).encode() + b": " + quote
-        spans.append((len(row), slots[j]))
-        row += bytes(slots[j].shape[1]) + quote
-    row += b"\n" if csv else b"}"
-    buf = bytearray(row * n)
-    mat = np.frombuffer(buf, dtype=np.uint8).reshape(n, len(row))
-    for at, cells in spans:
-        mat[:, at:at + cells.shape[1]] = cells
-    return buf.translate(None, b"\0")
+_U8, _U64 = np.uint8, np.uint64
+_B8, _B32, _B56 = _U64(8), _U64(32), _U64(56)
+_POW10 = np.array([10 ** k for k in range(1, 20)], dtype=_U64)
 
 
-def _dumps(value) -> str:
-    """``json.dumps(value)``, importing json only when JSON is written."""
-    import json
+class Table:
+    """The text of one table's rows, chunk by chunk.
 
-    return json.dumps(value)
+    ``names`` key the JSON objects.  ``csv`` picks CSV lines, each led by
+    "\\n" (write the header without one and a "\\n" after the last chunk),
+    or JSON objects, each led by ", ".  A row plan is made once for each set
+    of column kinds and widths the table's chunks have."""
+
+    def __init__(self, names, csv: bool):
+        self.names, self.csv = tuple(names), csv
+        self._plans: dict = {}
+        self._known: dict = {}  # per label column: the labels already checked
+
+    def format_chunk(self, cols) -> str:
+        """The rows of the equal-length arrays ``cols`` as text."""
+        kinds = tuple("f" if c.dtype.kind == "f" else "i" if c.dtype.kind in "iu"
+                      else "s" for c in cols)
+        ints = [c for c, k in zip(cols, kinds) if k == "i"]
+        width = 0
+        if ints:
+            mag, neg = _int_magnitudes(ints)
+            digits = int(np.searchsorted(_POW10, mag.max(), side="right")) + 1
+            width = (digits + (neg is not None) + 8) // 8  # and the lead byte
+        labels = [self._labels(j, c) for j, (c, k) in enumerate(zip(cols, kinds))
+                  if k == "s"]
+        key = (kinds, width, tuple(b.itemsize for b in labels))
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = _Plan(self.names, self.csv, *key)
+        words = plan.words(len(cols[0]))
+        floats = [c for c, k in zip(cols, kinds) if k == "f"]
+        if floats:
+            float_words(np.array(floats, dtype=np.float64), plan.floats, words,
+                        self.csv)
+        if ints:
+            _int_words(mag, neg, plan.ints, words)
+        for b, (start, stop, lead) in zip(labels, plan.labels):
+            v = b.astype(f"S{8 * (stop - start)}").view(_U64).reshape(len(b), -1).T
+            out = words[start:stop]
+            if lead is None:
+                out[...] = v
+            else:  # the label one byte on, after its lead byte
+                np.left_shift(v, _B8, out=out)
+                out[1:] |= v[:-1] >> _B56
+                out[0] |= _U64(lead)
+        return words.T.tobytes().translate(None, b"\0").decode("ascii")
+
+    def _labels(self, j: int, col: np.ndarray) -> np.ndarray:
+        """Label column j as fixed-width bytes, each label checked; a bytes
+        label of up to 8 bytes only the first time the table meets it."""
+        if col.dtype.kind != "S":
+            _check_labels(set(col.tolist()))
+            return col.astype("S")
+        if col.itemsize > 8:
+            _check_labels(np.unique(col).tolist())
+            return col
+        words = col.astype("S8").view(_U64)
+        known = self._known.setdefault(j, [])
+        if known:
+            seen = words == known[0]
+            for w in known[1:]:
+                seen |= words == w
+            words = words[~seen]
+        if words.size:
+            new = np.unique(words)
+            _check_labels(new.view("S8").tolist())
+            if len(known) + new.size <= 16:
+                known.extend(new)
+        return col
 
 
-def _label_text(col: np.ndarray) -> np.ndarray:
-    """``%s`` of each cell as a NUL-padded byte matrix; raises ValueError on
-    a label that CSV or JSON could not hold verbatim.  A bytes column is
-    taken as it is; a bytes label is checked decoded as Latin-1."""
-    is_bytes = col.dtype.kind == "S"
-    for value in np.unique(col).tolist() if is_bytes else set(col.tolist()):
+def _check_labels(values) -> None:
+    """Raise ValueError on a label that CSV or JSON could not hold verbatim;
+    a bytes label is read as Latin-1."""
+    for value in values:
         text = value.decode("latin-1") if isinstance(value, bytes) else str(value)
         if not (text.isascii() and text.isprintable()) or any(
                 c in text for c in ',"\\'):
             raise ValueError(f"cannot write the label {text!r}: labels must be "
                              'printable ASCII without ",", \'"\' or "\\"')
-    labels = np.ascontiguousarray(col) if is_bytes else col.astype("S")
-    return labels.view(np.uint8).reshape(labels.size, labels.itemsize)
 
 
-# -- numbers ---------------------------------------------------------------
-#
-# A number's slot is built from 4- or 8-byte words: a per-cell template
-# word, looked up by the cell's layout, is ANDed with a data word.  In a
-# template, a kept literal byte is that literal, a kept data byte is 0xFF
-# and a dropped byte is 0; a data word holds 0xFF where the template has
-# its literals.
+class _Slots:
+    """The cells of one kind: the first matrix row of each cell's slot, and
+    the byte folded into its first byte (a one-byte separator, else 0)."""
 
-#: Magnitudes the double-double path scales: inside this range neither
-#: the power-of-ten table nor the Dekker split can overflow or underflow.
-_FAST_MIN, _FAST_MAX = 1e-270, 1e270
-#: Decimal exponents E = floor(log10|x|) the tables cover: the range above
-#: and one step of slack on each side.
-_E_MIN, _E_MAX = -272, 272
-#: A scaled value whose fraction is this close to 1/2 may be a decimal tie,
-#: or too close to one to round in double-double; it falls back.
-_TIE_MARGIN = 1e-6
-_DEKKER = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
+    def __init__(self):
+        self.starts, self.leads, self.view = [], [], None
+
+    def close(self, width: int) -> None:
+        s, self.width = self.starts, width
+        self.lead = max(set(self.leads), key=self.leads.count) if s else 0
+        self.other_leads = [(j, lead) for j, lead in enumerate(self.leads)
+                            if lead != self.lead]
+        self.step = s[1] - s[0] if len(s) > 1 else 1
+        self.even = bool(s) and all(b - a == self.step for a, b in zip(s, s[1:]))
+
+    def bind(self, buf: np.ndarray) -> None:
+        """The (width, cells, rows) view of the slots in ``buf``, when they
+        are evenly spaced: numpy writes a strided view several times slower
+        than contiguous memory, so only whole results go there."""
+        if self.even:
+            row = buf.strides[0]
+            self.view = np.lib.stride_tricks.as_strided(
+                buf[self.starts[0]:], (self.width, len(self.starts), buf.shape[1]),
+                (row, self.step * row, buf.strides[1]), writeable=True)
+
+    def block(self, n: int) -> np.ndarray:
+        """Where the cells' words are computed: the view, or a new array."""
+        if self.view is not None:
+            return self.view[..., :n]
+        return np.empty((self.width, len(self.starts), n), dtype=_U64)
+
+    def store(self, words: np.ndarray, block: np.ndarray) -> None:
+        """The cells' words := ``block``, unless it is the view."""
+        if self.view is None:
+            for k in range(self.width):
+                words[[r + k for r in self.starts]] = block[k]
+        elif not np.may_share_memory(block, words):
+            self.view[..., :block.shape[-1]] = block
+
+    def fix_leads(self, w0: np.ndarray) -> None:
+        """Put each cell's own lead byte where the common one went."""
+        for j, lead in self.other_leads:
+            w0[j] &= _U64(2 ** 64 - 256)
+            w0[j] |= _U64(lead)
 
 
-def _groups4(m: np.ndarray, count: int) -> list[np.ndarray]:
-    """``count`` 4-digit groups of each integer ``m``, most significant
-    first; the first holds everything above the others."""
-    ten4 = m.dtype.type(10000)
-    groups = []
-    for _ in range(count - 1):
-        q = m // ten4
-        groups.append((m - q * ten4).astype(np.intp, copy=False))
-        m = q
-    return [m.astype(np.intp, copy=False)] + groups[::-1]
+class _Plan:
+    """Where each cell's and each literal's words lie in a row."""
+
+    def __init__(self, names, csv, kinds, int_width, label_widths):
+        gaps = []  # the literal text before each cell, and after the last
+        for j, (name, kind) in enumerate(zip(names, kinds)):
+            if csv:
+                gaps.append("," if j else "\n")
+            else:
+                close = '"' if j and kinds[j - 1] == "s" else ""
+                gaps.append(close + (", " if j else ", {") + dumps(name) + ": "
+                            + ('"' if kind == "s" else ""))
+        if not csv:
+            gaps.append(('"' if kinds[-1] == "s" else "") + "}")
+        self.literals = []  # (row, word)
+        self.floats, self.ints, self.labels = _Slots(), _Slots(), []
+        widths = iter(label_widths)
+        row = 0
+        for j, gap in enumerate(gaps):
+            gap = gap.encode()
+            fold = len(gap) <= 1 and j < len(kinds)
+            if not fold:
+                gap += bytes(-len(gap) % 8)
+                for word in np.frombuffer(gap, dtype=_U64).tolist():
+                    self.literals.append((row, word))
+                    row += 1
+            if j == len(kinds):
+                break
+            lead = gap[0] if gap else 0
+            if kinds[j] == "s":
+                size = (next(widths) + fold + 7) // 8
+                self.labels.append((row, row + size, lead if fold else None))
+            else:
+                slots = self.floats if kinds[j] == "f" else self.ints
+                slots.starts.append(row)
+                slots.leads.append(lead if fold else 0)
+                size = 4 if kinds[j] == "f" else int_width
+            row += size
+        self.floats.close(4)
+        self.ints.close(int_width)
+        self.rows = row
+        self._buf = np.empty((row, 0), dtype=_U64)
+
+    def words(self, n: int) -> np.ndarray:
+        """The (words, n) matrix of a chunk of n rows, literals filled in."""
+        if self._buf.shape[1] < n:
+            # rows 8 words longer than a chunk: the rows of one word lying a
+            # multiple of 4 KiB apart would stall loads on stores there
+            self._buf = np.zeros((self.rows, n + 8), dtype=_U64)
+            for r, word in self.literals:
+                self._buf[r] = word
+            self.floats.bind(self._buf)
+            self.ints.bind(self._buf)
+        return self._buf[:, :n]
+
+
+# -- ints ------------------------------------------------------------------
+
+def _int_magnitudes(cols) -> tuple[np.ndarray, np.ndarray | None]:
+    """|v| as uint64 of each int cell, a row per column, and v < 0 (None if
+    no cell is negative); |min int64| still fits a uint64."""
+    mag = np.array(cols, dtype=_U64)  # a negative v wraps to 2^64 + v
+    neg = mag.view(np.int64) < 0  # and so does a uint64 v >= 2^63: undo it
+    neg[[c.dtype.kind == "u" for c in cols]] = False
+    if not neg.any():
+        return mag, None
+    np.negative(mag, out=mag, where=neg)
+    return mag, neg
+
+
+def _int_words(mag, neg, slots: _Slots, words) -> None:
+    """``%d`` of each cell right-aligned in its slot after the lead byte:
+    4-digit groups, the highest first, fill the words."""
+    t = _int_tables()
+    width = slots.width
+    groups = np.empty((2 * width,) + mag.shape, dtype=np.intp)
+    for g in groups[:0:-1]:  # from the units up
+        q = mag // _U64(10 ** 4)
+        np.subtract(mag, q * _U64(10 ** 4), out=g, casting="unsafe")
+        mag = q
+    groups[0] = mag
+    ndigits = t.ndigits.take(groups + t.places[2 * width - 1::-1]).max(axis=0)
+    layout = 2 * ndigits if neg is None else 2 * ndigits + neg
+    block = t.digits.take(groups[0::2])  # word j: groups 2 j and 2 j + 1
+    block |= t.digits.take(groups[1::2]) << _B32
+    for j, out in enumerate(block):
+        k = width - 1 - j  # the word's place from the right
+        out &= t.keep[k].take(layout)
+        if neg is not None:
+            out |= t.sign[k].take(layout)
+    block[0] |= _U64(slots.lead)
+    slots.fix_leads(block[0])
+    slots.store(words, block)
 
 
 @functools.cache
-def _digit_words() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII digits of 0000..9999: packed in a uint32 each, and spread
-    over the even bytes of a uint64 each with 0xFF in the odd bytes."""
-    v = np.arange(10000, dtype=np.uint16)
-    digits = np.empty((10000, 4), dtype=np.uint8)
-    for i, unit in enumerate((1000, 100, 10, 1)):
-        digits[:, i] = v // unit % 10 + ord("0")
-    spread = np.full((10000, 8), 0xFF, dtype=np.uint8)
-    spread[:, ::2] = digits
-    return digits.view(np.uint32).ravel(), spread.view(np.uint64).ravel()
-
-
-@functools.cache
-def _int_layouts(groups: int) -> np.ndarray:
-    """Templates of the int slot, a uint32 word for the sign and then
-    ``groups`` words of digits, indexed by 2 * digits + negative."""
-    width = 4 * (groups + 1)
-    table = np.zeros((42, width), dtype=np.uint8)
-    for nd in range(1, min(20, 4 * groups) + 1):
-        table[2 * nd:2 * nd + 2, width - nd:] = 0xFF
-        table[2 * nd + 1, 0] = ord("-")
-    return table.view(np.uint32)
-
-
-def _int_text(cols: list[np.ndarray]) -> np.ndarray:
-    """``%d`` of each cell of the row-major (rows, len(cols)) int table, one
-    slot per row of the result."""
-    mag = np.empty((len(cols[0]), len(cols)), dtype=np.uint64)
-    neg = np.zeros(mag.shape, dtype=bool)
-    for k, col in enumerate(cols):
-        if col.dtype.kind == "u":
-            mag[:, k] = col
-        else:  # two's complement: |min int64| still fits a uint64
-            col = col.astype(np.int64, copy=False)
-            neg[:, k] = col < 0
-            mag[:, k] = np.where(neg[:, k], -col.view(np.uint64), col.view(np.uint64))
-    mag, neg = mag.reshape(-1), neg.reshape(-1)
-    powers = np.uint64(10) ** np.arange(1, 20, dtype=np.uint64)
-    ndigits = np.searchsorted(powers, mag, side="right") + 1
-    groups = (int(ndigits.max()) + 3) // 4
-    words = np.take(_int_layouts(groups), 2 * ndigits + neg, axis=0)
-    packed = _digit_words()[0]
-    for k, g in enumerate(_groups4(mag, groups)):
-        words[:, k + 1] &= packed.take(g)
-    return words.view(np.uint8)
-
-
-@functools.cache
-def _pow10_table() -> np.ndarray:
-    """10^(16 - E) for E in [_E_MIN, _E_MAX] as double-doubles, one row per
-    E: the nearest double split into Dekker halves, and the nearest double
-    to what it misses.  Built from exact integer ratios."""
-    rows = []
-    for p in range(16 - _E_MIN, 16 - _E_MAX - 1, -1):
-        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
-        hi = num / den  # int true division rounds correctly
-        a, b = hi.as_integer_ratio()
-        lo = (num * b - a * den) / (den * b)
-        c = _DEKKER * hi
-        hi_hi = c - (c - hi)
-        rows.append((hi_hi, hi - hi_hi, lo))
-    return np.array(rows).T.copy()
-
-
-def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ax * 10^(16 - e) as a normalised double-double (hi, lo), with a
-    relative error near 2^-104; needs ax and e inside the tables' range."""
-    p_hi_hi, p_hi_lo, p_lo = (t.take(e - _E_MIN) for t in _pow10_table())
-    c = _DEKKER * ax
-    a_hi = c - (c - ax)
-    a_lo = ax - a_hi
-    prod = ax * (p_hi_hi + p_hi_lo)
-    err = ((a_hi * p_hi_hi - prod) + a_hi * p_hi_lo + a_lo * p_hi_hi) + a_lo * p_hi_lo
-    tail = err + ax * p_lo
-    hi = prod + tail
-    return hi, tail - (hi - prod)
-
-
-def _scaled_range(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """-1, 0 or +1 as hi + lo is below 10^16, inside [10^16, 10^17) or not
-    below 10^17, judged on the full double-double."""
-    return ((hi > 1e17) | ((hi == 1e17) & (lo >= 0))).astype(np.int64) - \
-        ((hi < 1e16) | ((hi == 1e16) & (lo < 0)))
-
-
-@functools.cache
-def _float_layouts() -> tuple[np.ndarray, ...]:
-    """The float slot, six uint64 words::
-
-        0   '-'  '0.000'  d0 '.'     sign, leading zeros of |x| < 1
-        8   d1 '.' d2 '.' ... d16 '.'   each digit with a candidate '.'
-        40  'e' sign h t u              exponent
-
-    Returns the templates, indexed by 2 * (17 * mode + s - 1) + negative
-    for s significant digits once trailing zeros are stripped, where modes
-    0..20 are fixed notation with E = mode - 4 and modes 21 and 22 are
-    scientific with a 2- and a 3-digit exponent; the lead words of d0 =
-    0..9; the exponent words of E = _E_MIN.._E_MAX; and, per 4-digit
-    group k of d1..d16, the significant-digit count that group's last
-    nonzero digit implies (0 for a zero group)."""
-    rows = []
-    for mode in range(23):
-        for s in range(1, 18):
-            row = bytearray(48)
-            e = mode - 4
-            if mode > 20:  # d0 [. d1...] e sign [h] t u
-                digits, dot = s, 0 if s > 1 else None
-                row[40:45] = b"e\xff\xff\xff\xff" if mode == 22 else b"e\xff\0\xff\xff"
-            elif e >= 0:  # d0..dE [. dE+1...]
-                digits, dot = max(e + 1, s), e if s > e + 1 else None
-            else:  # 0.[000]d0...
-                digits, dot = s, None
-                row[1:2 - e] = b"0.000"[:1 - e]
-            row[6:6 + 2 * digits:2] = b"\xff" * digits
-            if dot is not None:
-                row[7 + 2 * dot] = ord(".")
-            rows += [row, b"-" + row[1:]]
-    table = np.frombuffer(bytearray(b"".join(rows)), dtype=np.uint64).reshape(-1, 6)
-    digits = _digit_words()[0].view(np.uint8).reshape(-1, 4)
-    lead = np.full((10, 8), 0xFF, dtype=np.uint8)
-    lead[:, 6] = digits[:10, 3]
-    e = np.arange(_E_MIN, _E_MAX + 1)
-    expo = np.full((e.size, 8), 0xFF, dtype=np.uint8)
-    expo[:, 1] = np.where(e < 0, ord("-"), ord("+"))
-    expo[:, 2:5] = digits[np.abs(e), 1:]
-    last = np.zeros(10000, dtype=np.int8)  # position of the last nonzero digit
-    for pos in range(1, 5):
-        last[digits[:, pos - 1] > ord("0")] = pos
-    sig = np.zeros((4, 10000), dtype=np.int8)
-    for k in range(4):
-        sig[k, last > 0] = 1 + 4 * k + last[last > 0]
-    return table, lead.view(np.uint64).ravel(), expo.view(np.uint64).ravel(), sig
-
-
-def _round17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """E = floor(log10|x|) and the 17 digits N = round(|x| 10^(16 - E)) of
-    each float, and whether N was settled; a zero has E = 0 and N = 0.
-
-    The product is formed in double-double arithmetic (Dekker, 1971) to
-    about 1e-14 absolute, and E is corrected by one where the full product
-    falls outside [10^16, 10^17), so N is correctly rounded unless its
-    fraction lies within ``_TIE_MARGIN`` of 1/2.  Those cells, non-finite
-    ones, the ones outside the tables' range and an N that rounds up to
-    10^17 are not settled (N is then 10^16)."""
-    ax = np.abs(x)
-    ok = (ax >= _FAST_MIN) & (ax <= _FAST_MAX)  # False for 0, nan, inf
-    ax = np.where(ok, ax, 1.0)
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    hi, lo = _scaled(ax, e)
-    off = _scaled_range(hi, lo)
-    redo = np.flatnonzero(off)
-    if redo.size:  # log10 rounded across a power of ten
-        e[redo] += off[redo]
-        hi[redo], lo[redo] = _scaled(ax[redo], e[redo])
-        ok[redo] &= _scaled_range(hi[redo], lo[redo]) == 0
-    whole = np.floor(lo)
-    frac = lo - whole
-    n = hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
-    ok &= (np.abs(frac - 0.5) >= _TIE_MARGIN) & (n >= 10 ** 16) & (n < 10 ** 17)
-    zero = x == 0.0
-    return e, np.where(ok, n, np.where(zero, 0, 10 ** 16)), ok | zero
-
-
-def _float_text(cols: list[np.ndarray], csv: bool) -> np.ndarray:
-    """``'%.17g' % x`` of each cell of the row-major (rows, len(cols)) float
-    table, one slot per row of the result.  The cells :func:`_round17`
-    cannot settle are formatted by Python one by one, as exact printers
-    fall back to a slow path (Adams, 2018)."""
-    x = np.empty((len(cols[0]), len(cols)))
-    for k, col in enumerate(cols):
-        x[:, k] = col
-    x = x.reshape(-1)
-    e, n, ok = _round17(x)
-    lead = n // 10 ** 16
-    groups = _groups4(n - lead * 10 ** 16, 4)
-    layouts, lead_words, exp_words, sig = _float_layouts()
-    s = np.maximum(np.maximum(sig[0].take(groups[0]), sig[1].take(groups[1])),
-                   np.maximum(sig[2].take(groups[2]), sig[3].take(groups[3])))
-    mode = np.where((e < -4) | (e > 16), 21 + (np.abs(e) >= 100), e + 4)
-    words = np.take(layouts, 2 * (17 * mode + np.maximum(s, 1) - 1) + np.signbit(x),
-                    axis=0)
-    words[:, 0] &= lead_words.take(lead)
-    spread = _digit_words()[1]
-    for k, g in enumerate(groups):
-        words[:, k + 1] &= spread.take(g)
-    words[:, 5] &= exp_words.take(e - _E_MIN)
-    text = words.view(np.uint8)
-    slow = np.flatnonzero(~ok)
-    if slow.size:
-        cells = [format(v, ".17g") if csv or math.isfinite(v) else _dumps(v)
-                 for v in x[slow].tolist()]
-        text[slow] = np.array(cells, dtype="S48").view(np.uint8).reshape(-1, 48)
-    return text
+def _int_tables() -> SimpleNamespace:
+    """The int path's lookup tables: per place and 4-digit group the digits
+    of a number led by that group, and per layout 2 digits + sign and per
+    word from the right the bytes kept and the sign."""
+    t = SimpleNamespace(digits=_float_tables().digits)
+    count = np.zeros(10000, dtype=np.int8)  # the digits of the group, or 0
+    for place in range(1, 5):
+        count[10 ** (place - 1):10 ** place] = place
+    t.ndigits = (count + (4 * np.arange(6, dtype=np.int8))[:, None] * (count > 0)
+                 ).ravel()
+    t.ndigits[0] = 1  # 0 has one digit
+    t.places = (10000 * np.arange(6))[:, None, None]
+    keep, sign = np.zeros((2, 48, 24), dtype=_U8)
+    for d in range(1, 23):
+        keep[2 * d:2 * d + 2, 24 - d:] = 0xFF
+        sign[2 * d + 1, 23 - d] = ord("-")
+    t.keep, t.sign = (w.view(_U64).T[::-1].copy() for w in (keep, sign))
+    return t

@@ -20,6 +20,7 @@ exceeds their share of the tolerance are bisected.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Sequence
@@ -355,15 +356,16 @@ def grid_eval(fn: Callable[[float, np.ndarray], np.ndarray],
     return GridResult(grid=grid, values=values)
 
 
-#: Rows formatted per write; bounds the byte matrix and the temporaries a
-#: table write holds at once (about 0.8 MB for a simulate table, 1.2 MB
-#: for a dependence profile).
+#: Rows formatted per write; bounds the word matrix and the temporaries a
+#: table write holds at once: about 0.48 MB for a simulate table and
+#: 0.82 MB for a dependence profile, plan included (tracemalloc).
 _CHUNK_ROWS = 1024
 
 
 def write_table(out, names: Sequence[str], cols: Sequence,
                 head: dict | None = None) -> None:
-    """Stream equal-length columns to ``out``, a path or a text stream.
+    """Stream equal-length columns to ``out``, a path (``str``, ``bytes`` or
+    ``os.PathLike``) or a text stream.
 
     ``head=None`` writes CSV; a dict of str writes the JSON object
     ``{**head, "rows": [...]}`` with one object per row.  Each column's
@@ -374,16 +376,19 @@ def write_table(out, names: Sequence[str], cols: Sequence,
     JSON spells non-finite floats ``NaN``, ``Infinity`` and ``-Infinity``,
     as :mod:`json` does.
 
-    A chunk of rows is formatted as one byte matrix, with a fixed-width
-    slot per cell whose unused bytes are deleted on output
-    (:mod:`archlab._cells`).  A float's 17 digits are its correctly
-    rounded scaled value, computed for all the float cells of the chunk at
-    once in double-double arithmetic.  The cells that arithmetic cannot
-    settle are printed one by one by ``format(x, ".17g")``: non-finite
-    values, magnitudes outside [1e-270, 1e270] (subnormals among them),
-    values whose scaled fraction lies within 1e-6 of 1/2 (a possible
-    decimal tie) and values whose 17 digits round up to 10^17.  Either way
-    the bytes equal ``'%.17g' % x``.
+    The table's row is planned once (:mod:`archlab._cells`): each cell
+    gets a slot of whole 8-byte words, a float's being 32 bytes, whose
+    unused bytes are deleted on output.  A chunk of rows is computed as one
+    (words, rows) matrix.  A float's 17 digits are its correctly rounded
+    scaled value, computed for all the float cells of the chunk at once
+    from an exact 26-by-26-bit product and a remainder good to 8.1e-7.  The
+    cells that cannot be settled so are printed one by one by
+    ``format(x, ".17g")``: non-finite values, magnitudes outside
+    [2^-896, 2^896) (subnormals among them), values whose scaled fraction
+    lies within 1e-5 of 1/2 (a possible decimal tie) and values whose 17
+    digits round up to 10^17.  Either way the bytes equal ``'%.17g' % x``.
+    In process, on a 2-vCPU host, a 250,000-row simulate serial table
+    takes about 0.9 us per row.
     """
     n = len(cols[0]) if len(cols) else 0
     if any(len(c) != n for c in cols):
@@ -402,24 +407,24 @@ def write_rows_csv(out, header: Sequence[str], rows: Iterable[Sequence]) -> None
 
 def _write_chunks(out, names, chunks, head) -> None:
     """:func:`write_table` from an iterable of column-slice chunks."""
-    if isinstance(out, (str, bytes)):
+    if isinstance(out, (str, bytes, os.PathLike)):
         with open(out, "w", newline="") as fh:
             return _write_chunks(fh, names, chunks, head)
     # imported on the first write, so a command that writes no table does
     # not compile it
-    from ._cells import format_chunk
+    from ._cells import Table
 
     csv = head is None
     if csv:
-        out.write(",".join(names) + "\n")
+        out.write(",".join(names))  # each row comes led by its "\n"
     else:
         import json
 
         out.write("{" + "".join(f"{json.dumps(k)}: {json.dumps(v)}, "
                                 for k, v in head.items()) + '"rows": [')
+    table = Table(names, csv)
     skip = 0 if csv else 2  # the first JSON row has no ", " before it
     for part in chunks:
-        text = format_chunk(names, [np.asarray(c) for c in part], csv)
-        out.write(text.decode("ascii")[skip:])
+        out.write(table.format_chunk([np.asarray(c) for c in part])[skip:])
         skip = 0
-    out.write("" if csv else "]}\n")
+    out.write("\n" if csv else "]}\n")

@@ -16,7 +16,7 @@ from archlab.numerics import (Axis, GridSpec, classify_sign, convolve_cdf,
                               fmt17, grid_eval, integrate, write_rows_csv,
                               write_table)
 from archlab.parallel import ParallelTwoModel, stage_survival_gap
-from archlab.serial import expression3
+from archlab.serial import SerialTwoModel, dependence_profile, expression3
 
 
 class TestIntegrate:
@@ -336,6 +336,19 @@ class TestWriteTable:
         with pytest.raises(ValueError, match="differ in length"):
             write_table(io.StringIO(), ("a", "b"), (np.zeros(2), np.zeros(3)))
 
+    def test_path_like_targets(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(path, self.NAMES, self.cols())
+        assert path.read_text() == self.reference(self.NAMES, self.cols(), None)
+        write_table(path, self.NAMES, self.cols(), {"figure": "x"})
+        assert path.read_text() == self.reference(self.NAMES, self.cols(),
+                                                  {"figure": "x"})
+        trials = mc.simulate_serial(SerialTwoModel(Weibull(k=0.7, u=1.0), 0.5), 5, 1)
+        trials.to_csv(tmp_path / "trials.csv")
+        buf = io.StringIO()
+        trials.to_csv(buf)
+        assert (tmp_path / "trials.csv").read_text() == buf.getvalue()
+
     def assert_exact(self, *cols):
         """CSV and JSON of ``cols`` equal the %-format reference; a failure
         names the first differing rows, not a diff of the whole text."""
@@ -429,3 +442,83 @@ class TestWriteTable:
         empty = io.StringIO()
         write_rows_csv(empty, ["draw"], iter(()))
         assert empty.getvalue() == "draw\n"
+
+    @staticmethod
+    def every_float_layout():
+        """A double for each float layout: fixed notation for E = -4..16 and
+        scientific with 2- and 3-digit exponents, each with s = 1..17
+        significant digits and both signs.  Each is the first double nearest
+        to a seeded random s-digit decimal whose '%.17g' keeps exactly those
+        s digits; the values and their (notation, s, sign) keys."""
+        rng = np.random.default_rng(17)
+        values, keys = [], set()
+        exponents = [[e] for e in range(-4, 17)] + [
+            [-5, 17, -6, 18, -42, 99], [-100, 150, -250, 269, -101, 101]]
+        for candidates in exponents:
+            e0 = candidates[0]
+            notation = e0 if -4 <= e0 <= 16 else "e%d" % max(2, len(str(abs(e0))))
+            for s in range(1, 18):
+                for trial in range(6000):
+                    e = candidates[trial % len(candidates)]
+                    digits = rng.integers(0, 10, s)
+                    digits[0] = digits[0] or 1
+                    digits[-1] = digits[-1] or 7
+                    text = "".join(map(str, digits))
+                    x = float(f"{text[0]}.{text[1:]}e{e}")
+                    mantissa, exponent = ("%.16e" % x).split("e")
+                    if int(exponent) == e and \
+                            mantissa.replace(".", "").rstrip("0") == text:
+                        break
+                else:
+                    raise AssertionError(f"no double has E = {e0} and s = {s}")
+                values += [x, -x]
+                keys |= {(notation, s, "+"), (notation, s, "-")}
+        return np.array(values), keys
+
+    @staticmethod
+    def layout_of(text: str):
+        """(notation, significant digits, sign) of a '%.17g' text: its E in
+        fixed notation, else "e" and the exponent's width."""
+        sign, body = ("-", text[1:]) if text.startswith("-") else ("+", text)
+        mantissa, _, exponent = body.partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        if exponent:
+            notation = "e%d" % len(exponent[1:])
+        elif whole != "0":
+            notation = len(whole) - 1
+        else:
+            notation = -1 - (len(fraction) - len(fraction.lstrip("0")))
+        return notation, len((whole + fraction).strip("0")), sign
+
+    def test_every_float_layout(self):
+        values, keys = self.every_float_layout()
+        every = {(notation, s, sign) for notation in [*range(-4, 17), "e2", "e3"]
+                 for s in range(1, 18) for sign in "+-"}
+        assert keys == every
+        assert {self.layout_of("%.17g" % v) for v in values} == every
+        self.assert_exact(values)
+        self.assert_exact(values[::-1], np.arange(values.size), values * 0.5)
+
+    @pytest.mark.parametrize("table, bound", [("trials", 95), ("profile", 120)])
+    def test_chunk_memory_per_cell(self, table, bound):
+        """The traced peak of one 1024-row chunk written by a new Table, in
+        bytes per cell, its plan included.  Measured 78 (trials) and 99
+        (profile); the bounds leave about 20 %.  The previous writer, a byte
+        matrix with 48-byte float slots, read 105 and 131."""
+        import tracemalloc
+
+        from archlab._cells import Table
+        if table == "trials":
+            obj = mc.simulate_serial(SerialTwoModel(Weibull(k=0.7, u=1.0), 0.5), 1024, 1)
+        else:
+            obj = dependence_profile(SerialTwoModel(Weibull(k=0.5, u=1.0), 0.5),
+                                     np.linspace(0.01, 5.0, 1024))
+        cols = [np.asarray(c) for c in obj.table()]
+        Table(obj.columns, True).format_chunk(cols)  # lookup tables, once
+        tracemalloc.start()
+        try:
+            Table(obj.columns, True).format_chunk(cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (len(cols) * 1024) <= bound
