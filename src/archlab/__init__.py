@@ -17,8 +17,7 @@ _EXPORTS = {
     "mc": ("DEFAULT_SEED", "RngState", "Theorem1Result", "Trials",
            "empirical_dependence", "run_theorem1_mc", "sample_iid",
            "simulate_parallel", "simulate_serial"),
-    "numerics": ("Axis", "GridResult", "GridSpec", "classify_sign",
-                 "convolve_cdf", "grid_eval", "integrate"),
+    "numerics": ("classify_sign", "convolve_cdf", "integrate"),
     "parallel": ("ParallelTwoModel", "StageGap", "StageSurvivalGrid",
                  "alpha_extrema", "classify_stage_trend",
                  "conditional_ict_survival", "hazard_ratio_alpha",

@@ -23,9 +23,8 @@ import numpy as np
 
 from .distributions import (ProcessingTimeDistribution, Uniform,
                             Weibull, parse_spec)
-from .errors import ArchlabError, DistSpecError, UsageError
-from .numerics import (Axis, GridResult, GridSpec, convolve_cdf, fmt17,
-                       grid_eval, write_table)
+from .errors import ArchlabError, DistSpecError, GridEvalError, UsageError
+from .numerics import convolve_cdf, fmt17, write_table
 
 # Each command imports the modules it runs (serial, parallel, mc, recall,
 # verify) in its handler, so start-up compiles only what the command uses.
@@ -181,10 +180,14 @@ def _write_report(args, payload: dict) -> int:
 
 
 def _check_axes(steps: int, **ranges: tuple[float, float]) -> None:
-    """--steps >= 2 and, for each NAME=(lo, hi), --NAME-min < --NAME-max."""
+    """--steps >= 2 and, for each NAME=(lo, hi), finite --NAME-min <
+    --NAME-max."""
     if steps < 2:
         raise UsageError("--steps must be >= 2")
     for name, (lo, hi) in ranges.items():
+        for end, value in (("min", lo), ("max", hi)):
+            if not math.isfinite(value):
+                raise UsageError(f"--{name}-{end} must be finite, got {value}")
         if not hi > lo:
             raise UsageError(f"--{name}-max ({hi}) must exceed --{name}-min ({lo})")
 
@@ -213,32 +216,51 @@ def _stage_grid(dist: ProcessingTimeDistribution, name: str, steps: int,
                                np.linspace(*ta, steps))
 
 
+def _expr3_grid(k: float, us: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """``expression3`` of Weibull(k, u) over the (u, tau) grid, one u row at
+    a time; a failing row is retried cell by cell, so that the first
+    failing cell (in row-major order) is named with its coordinates."""
+    from .serial import expression3
+
+    def row(u: float, ts: np.ndarray) -> np.ndarray:
+        dist = Weibull(k, u)
+        return expression3(dist.cdf(ts), convolve_cdf(dist, ts))
+
+    values = np.empty((us.size, taus.size))
+    for i, u in enumerate(us.tolist()):
+        try:
+            values[i] = row(u, taus)
+        except ArchlabError:
+            for j, tau in enumerate(taus.tolist()):
+                try:
+                    row(u, taus[j:j + 1])
+                except ArchlabError as exc:
+                    raise GridEvalError(f"grid cell (u={u!r}, tau={tau!r}) "
+                                        f"failed: {exc}", point=(u, tau)) from exc
+            raise
+    return values
+
+
 def _cmd_figure(args) -> int:
     steps = args.steps
     _check_axes(steps)
     if args.id in ("fig4", "fig5"):
-        from .serial import expression3
-
         k = args.k if args.k is not None else _FIG_DEFAULT_K[args.id]
-        grid = GridSpec(axes=(Axis("u", 0.5, 10.0, steps),
-                              Axis("tau", 0.01, 5.0, steps)))
-
-        def row(u: float, taus: np.ndarray) -> np.ndarray:
-            dist = Weibull(k, u)
-            return expression3(dist.cdf(taus), convolve_cdf(dist, taus))
-
-        result = grid_eval(row, grid)
+        Weibull(k, 1.0)  # a bad --k is reported as such, not as a grid cell
+        us, taus = np.linspace(0.5, 10.0, steps), np.linspace(0.01, 5.0, steps)
+        cols = (np.repeat(us, steps), np.tile(taus, steps),
+                _expr3_grid(k, us, taus).reshape(-1))
     else:
         if args.id == "fig6":
             k = args.k if args.k is not None else _FIG_DEFAULT_K["fig6"]
             dist, hi = Weibull(k, args.u), 10.0
         else:
             dist, hi = Uniform(args.v), 1.0
-        grid = GridSpec(axes=(Axis("t", 0.0, hi, steps),
-                              Axis("Ta", 0.0, hi, steps)))
         stage = _stage_grid(dist, dist.spec_string(), steps, (0.0, hi), (0.0, hi))
-        result = GridResult(grid, stage.expr4.reshape(grid.shape))
-    return _write_table(args, result, figure=args.id)
+        cols = (stage.t, stage.ta, stage.expr4)
+    write_table(_open_out(args.out), ("axis1", "axis2", "value"), cols,
+                None if args.format == "csv" else {"figure": args.id})
+    return 0
 
 
 def _cmd_theorem1(args) -> int:
@@ -331,9 +353,9 @@ def _read_times(path: str) -> np.ndarray:
             except ValueError:
                 raise ArchlabError(
                     f"line {lineno}: could not parse {text!r} as a time") from None
-            if not value > 0:
-                raise ArchlabError(
-                    f"line {lineno}: times must be positive, got {text!r}")
+            if not 0 < value < math.inf:
+                raise ArchlabError(f"line {lineno}: times must be positive "
+                                   f"and finite, got {text!r}")
             times.append(value)
     return np.asarray(times, dtype=float)
 

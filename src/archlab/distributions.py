@@ -172,7 +172,7 @@ class Weibull(ProcessingTimeDistribution):
         x = self.u * t_arr
         out = np.zeros_like(x)
         pos = x > 0
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             out[pos] = (self.k * self.u * x[pos] ** (self.k - 1.0)
                         * np.exp(-x[pos] ** self.k))
         if self.k < 1.0:
@@ -180,6 +180,8 @@ class Weibull(ProcessingTimeDistribution):
             out[t_arr == 0.0] = math.inf  # density diverges at the origin
         elif self.k == 1.0:  # u at t = 0, and where u t underflows to 0
             out[~pos & (t_arr >= 0.0)] = self.u
+        else:  # (u t)^(k-1) overflows where exp(-(u t)^k) underflows: the
+            out[np.isnan(out)] = 0.0  # product is inf * 0, the density 0
         return _ret(out, scalar)
 
     def cdf(self, t):

@@ -1,4 +1,4 @@
-"""Quadrature, the f*F convolution, and grid evaluation utilities.
+"""Quadrature, the f*F convolution, sign classification and table writing.
 
 The convolution of two iid processing times,
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -29,7 +28,7 @@ import numpy as np
 
 from .distributions import (Exponential, ProcessingTimeDistribution, Uniform,
                             Weibull)
-from .errors import DomainError, GridEvalError, QuadratureConvergenceError
+from .errors import DomainError, QuadratureConvergenceError
 
 #: Absolute tolerance under which a computed difference counts as zero when
 #: classifying signs; matches the achievable resolution of the default
@@ -269,91 +268,6 @@ def _numeric_conv(dist: ProcessingTimeDistribution,
             f"for {dist!r} (abs_tol={ABS_TOL}, max_depth={MAX_DEPTH})",
             best_estimate=float(conv[i]))
     return conv
-
-
-# --------------------------------------------------------------------------
-# Grids
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Axis:
-    """A linearly spaced axis descriptor."""
-
-    name: str
-    lo: float
-    hi: float
-    steps: int
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise DomainError(f"axis {self.name!r}: need lo < hi, "
-                              f"got [{self.lo}, {self.hi}]")
-        if self.steps < 2:
-            raise DomainError(f"axis {self.name!r}: need steps >= 2, got {self.steps}")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.steps)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Two axes evaluated over their cartesian product."""
-
-    axes: tuple[Axis, Axis]
-
-    def __post_init__(self):
-        if len(self.axes) != 2:
-            raise DomainError(f"GridSpec needs 2 axes, got {len(self.axes)}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return tuple(ax.steps for ax in self.axes)
-
-
-@dataclass
-class GridResult:
-    """Values over a grid; serializes to CSV with 17-digit floats."""
-
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-
-    columns = ("axis1", "axis2", "value")
-
-    def table(self) -> tuple[np.ndarray, ...]:
-        """The ``columns`` in row-major order: the first axis varies slowest."""
-        xs, ys = (ax.values() for ax in self.grid.axes)
-        return np.repeat(xs, ys.size), np.tile(ys, xs.size), self.values.reshape(-1)
-
-    def to_csv(self, out) -> None:
-        write_table(out, self.columns, self.table())
-
-
-def grid_eval(fn: Callable[[float, np.ndarray], np.ndarray],
-              grid: GridSpec) -> GridResult:
-    """Evaluate a grid one first-axis row at a time.
-
-    ``fn(x, ys)`` returns the whole row at ``x`` over the array ``ys`` of
-    second-axis values.  When a row fails, its cells are evaluated one at
-    a time so that the first failing cell (in row-major order) is reported
-    with its coordinates.
-    """
-    xs, ys = (ax.values() for ax in grid.axes)
-    values = np.empty(grid.shape)
-    for i, x in enumerate(xs):
-        try:
-            values[i] = fn(float(x), ys)
-        except Exception:
-            for j in range(ys.size):
-                try:
-                    fn(float(x), ys[j:j + 1])
-                except Exception as exc:
-                    point = (float(x), float(ys[j]))
-                    names = ", ".join(f"{ax.name}={c!r}"
-                                      for ax, c in zip(grid.axes, point))
-                    raise GridEvalError(f"grid cell ({names}) failed: {exc}",
-                                        point=point) from exc
-            raise
-    return GridResult(grid=grid, values=values)
 
 
 #: Rows formatted per write; bounds the word matrix and the temporaries a

@@ -36,7 +36,7 @@ import numpy as np
 from .distributions import ProcessingTimeDistribution, EPS_SURVIVAL
 from .errors import (ConditioningError, DomainError, ExhaustedSurvivalError,
                      GridEvalError)
-from .numerics import GridSpec, classify_sign, write_table
+from .numerics import classify_sign, write_table
 
 
 @dataclass(frozen=True)
@@ -302,9 +302,10 @@ class TrendClassification:
     n_zero: int
 
 
-def classify_stage_trend(model: ParallelTwoModel,
-                         region: GridSpec) -> TrendClassification:
-    """Classify the gap's sign pattern over a region.
+def classify_stage_trend(model: ParallelTwoModel, t_values,
+                         ta_values) -> TrendClassification:
+    """Classify the gap's sign pattern over the product grid of
+    ``t_values`` and ``ta_values`` (as :func:`stage_survival_grid`).
 
     ``second_stage_slower`` means the gap is negative wherever it is
     resolvable (second-stage survival exceeds the first-stage survival, so
@@ -313,7 +314,7 @@ def classify_stage_trend(model: ParallelTwoModel,
     with t = 0 are degenerate (the gap is identically zero for every model)
     and count as zero cells.
     """
-    grid = stage_survival_grid(model, *(ax.values() for ax in region.axes))
+    grid = stage_survival_grid(model, t_values, ta_values)
     signs = grid.signs()
     n_pos, n_neg = signs.count("positive"), signs.count("negative")
     if n_pos and n_neg:

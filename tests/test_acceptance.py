@@ -26,7 +26,7 @@ from scipy import stats
 
 from archlab import mc, recall
 from archlab.distributions import Exponential, Uniform, Weibull
-from archlab.numerics import SIGN_TOL, Axis, GridSpec, convolve_cdf
+from archlab.numerics import SIGN_TOL, convolve_cdf
 from archlab.parallel import (ParallelTwoModel, classify_stage_trend,
                               conditional_ict_survival, stage_survival_gap)
 from archlab.serial import (SerialTwoModel, dependence_difference,
@@ -303,14 +303,14 @@ def test_criterion_07_stage_survival_classification():
             res = stage_survival_gap(model, float(t), float(ta))
             exp_ok = exp_ok and res.gap < 0.0 and res.expr4 == -float(t)
 
-    region10 = GridSpec(axes=(Axis("t", 0.0, 10.0, 40), Axis("Ta", 0.0, 10.0, 40)))
-    region1 = GridSpec(axes=(Axis("t", 0.0, 1.0, 40), Axis("Ta", 0.0, 1.0, 40)))
-    slow = [classify_stage_trend(ParallelTwoModel(Weibull(k, 1.0)), region10).trend
+    region10 = (np.linspace(0.0, 10.0, 40),) * 2
+    region1 = (np.linspace(0.0, 1.0, 40),) * 2
+    slow = [classify_stage_trend(ParallelTwoModel(Weibull(k, 1.0)), *region10).trend
             for k in (0.5, 1.0)]
     mixed_results = [
-        classify_stage_trend(ParallelTwoModel(Weibull(2.0, 1.0)), region10),
-        classify_stage_trend(ParallelTwoModel(Weibull(4.0, 1.0)), region10),
-        classify_stage_trend(ParallelTwoModel(Uniform(2.0)), region1),
+        classify_stage_trend(ParallelTwoModel(Weibull(2.0, 1.0)), *region10),
+        classify_stage_trend(ParallelTwoModel(Weibull(4.0, 1.0)), *region10),
+        classify_stage_trend(ParallelTwoModel(Uniform(2.0)), *region1),
     ]
     mixed_ok = all(r.trend == "mixed" and r.positive_witness is not None
                    and r.negative_witness is not None for r in mixed_results)

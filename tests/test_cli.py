@@ -9,7 +9,8 @@ import pytest
 
 from archlab import cli, mc
 from archlab.distributions import Exponential
-from archlab.numerics import fmt17
+from archlab.errors import DomainError
+from archlab.numerics import convolve_cdf, fmt17
 
 
 def run(argv, capsys):
@@ -63,10 +64,26 @@ class TestFigures:
         assert len(payload["rows"]) == 9
 
     def test_fig4_failing_cell_named(self, capsys):
-        code, _, err = run(["figure", "fig4", "--k", "-1", "--steps", "3"],
-                           capsys)
-        assert code == 2
-        assert "grid cell (u=0.5, tau=0.01) failed" in err
+        # (u tau)^1000 underflows at (0.5, 0.01), so conv is 0 there: the
+        # first row fails, and its first cell is named
+        code, out, err = run(["figure", "fig4", "--k", "1000", "--steps", "3"],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err == ("archlab: grid cell (u=0.5, tau=0.01) failed: "
+                       "conv must be positive, got 0.0\n")
+
+    def test_fig4_first_failing_cell_in_row_major_order(self, monkeypatch,
+                                                        capsys):
+        # a failing row is retried cell by cell, so the named cell is the
+        # first failing one in row-major order, wherever it lies in its row
+        def conv(dist, taus):
+            if dist.u > 5.0 and np.any(taus > 2.0):
+                raise DomainError("boom")
+            return convolve_cdf(dist, taus)
+
+        monkeypatch.setattr(cli, "convolve_cdf", conv)
+        assert run(["figure", "fig4", "--steps", "3"], capsys) == (
+            2, "", "archlab: grid cell (u=5.25, tau=2.505) failed: boom\n")
 
     def test_fig6_nan_cell_exit_2(self, capsys):
         # 5^1000 overflows: H(T_a + t) - H(T_a) is inf - inf at (0, 5)
@@ -107,6 +124,13 @@ class TestFigures:
         (["stage-survival", "--dist", "uniform:v=1", "--ta-max", "1"],
          "archlab: axis Ta: grid end 1.0 is outside the support [0, 1.0) of "
          "uniform:v=1\n"),
+        # a bad shape is the flag's error, not the first grid cell's
+        (["figure", "fig4", "--k", "-1", "--steps", "3"],
+         "archlab: Weibull shape k must be positive, got -1.0\n"),
+        (["figure", "fig4", "--k", "0", "--steps", "3"],
+         "archlab: Weibull shape k must be positive, got 0.0\n"),
+        (["figure", "fig5", "--k", "inf", "--steps", "3"],
+         "archlab: Weibull shape k must be positive, got inf\n"),
     ])
     def test_grid_error_texts(self, argv, err, capsys):
         assert run(argv, capsys) == (2, "", err)
@@ -209,6 +233,21 @@ class TestDependence:
         code, _, err = run(["dependence", "--dist", "weibull:k=-1,u=1"], capsys)
         assert code == 2
 
+    def test_infinite_tau_max_usage_error(self, capsys):
+        code, out, err = run(["dependence", "--dist", "exp:u=1", "--tau-max",
+                              "inf", "--steps", "3"], capsys)
+        assert (code, out, err) == (1, "", "--tau-max must be finite, got inf\n")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_k_density_underflow_converges(self, capsys):
+        # the k = 400 density is 0, not nan, where (u t)^399 overflows
+        code, out, err = run(["dependence", "--dist", "weibull:k=400,u=1",
+                              "--tau-max", "12", "--steps", "4"], capsys)
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["3", "6", "9", "12"]
+        assert all(row[1:6] == ["1"] * 5 for row in rows)
+
 
 class TestStageSurvival:
     def test_weibull_k2_mixed_signs(self, capsys):
@@ -240,12 +279,14 @@ class TestStageSurvival:
         ["--steps", "-1"], ["--steps", "0"], ["--steps", "1"],
         ["--t-min", "5", "--t-max", "1"], ["--ta-min", "2", "--ta-max", "2"],
         ["--t-min", "4"],  # above the default --t-max of 3
+        ["--t-max", "inf"],
     ])
     def test_axis_usage_errors(self, flags, capsys):
         code, out, err = run(["stage-survival", "--dist", "weibull:k=2,u=1"]
                              + flags, capsys)
         assert code == 1 and out == ""
-        assert "--steps must be >= 2" in err or "must exceed" in err
+        assert ("--steps must be >= 2" in err or "must exceed" in err
+                or err == "--t-max must be finite, got inf\n")
 
     def test_nan_cell_exit_2(self, capsys):
         code, out, err = run(["stage-survival", "--dist", "weibull:k=1000,u=1",
@@ -298,9 +339,10 @@ class TestFit:
 
     def test_negative_time_line_numbered(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
-        src.write_text("time\n1.0\n-3.0\n2.0\n")
-        code, _, err = run(["fit", "--input", str(src)], capsys)
-        assert code == 2 and "line 3" in err
+        for bad in ("-3.0", "inf"):
+            src.write_text(f"time\n1.0\n{bad}\n2.0\n")
+            code, _, err = run(["fit", "--input", str(src)], capsys)
+            assert code == 2 and "line 3" in err, bad
 
     def test_malformed_row_line_numbered(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"

@@ -200,6 +200,19 @@ class TestFunctionalIdentities:
         assert dist.pdf(t).tobytes() == (
             k * 0.3 * x ** (k - 1.0) * np.exp(-x ** k)).tobytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [300.0, 1000.0])
+    def test_weibull_large_k_pdf_underflows_to_zero(self, k):
+        # where (u t)^(k-1) overflows, exp(-(u t)^k) underflows and the
+        # density is 0, not inf * 0 = nan; finite cells keep their bytes
+        dist = Weibull(k, 1.0)
+        t = np.array([0.5, 1.0, 1.001, 2.5, 40.0])
+        x = t[:3]
+        finite = k * x ** (k - 1.0) * np.exp(-x ** k)
+        assert dist.pdf(t)[:3].tobytes() == finite.tobytes()
+        assert dist.pdf(t)[3:].tolist() == [0.0, 0.0]
+        assert dist.pdf(2.5) == 0.0
+
     def test_hazard_monotonicity(self):
         t = np.linspace(0.05, 3.0, 80)
         decreasing = np.asarray(Weibull(0.6, 1.0).hazard(t))

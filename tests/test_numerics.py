@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from archlab import mc, numerics
 from archlab.distributions import Exponential, Uniform, Weibull
-from archlab.errors import (DomainError, GridEvalError,
-                            QuadratureConvergenceError)
-from archlab.numerics import (Axis, GridSpec, classify_sign, convolve_cdf,
-                              fmt17, grid_eval, integrate, write_rows_csv,
-                              write_table)
+from archlab.errors import DomainError, QuadratureConvergenceError
+from archlab.numerics import (classify_sign, convolve_cdf, fmt17, integrate,
+                              write_rows_csv, write_table)
 from archlab.parallel import ParallelTwoModel, stage_survival_gap
 from archlab.serial import SerialTwoModel, dependence_profile, expression3
 
@@ -169,73 +167,21 @@ class TestConvolveCdf:
 
 
 class TestGrids:
-    def test_constant_grid(self):
-        grid = GridSpec(axes=(Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 3)))
-        res = grid_eval(lambda x, ys: np.full_like(ys, 4.2), grid)
-        assert res.values.shape == (3, 3)
-        assert np.all(res.values == 4.2)
-
-    def test_first_error_reported_with_coordinates(self):
-        grid = GridSpec(axes=(Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 3)))
-
-        def row(x, ys):
-            if x > 0.4:
-                raise DomainError("boom")
-            return np.zeros_like(ys)
-
-        with pytest.raises(GridEvalError, match=r"x=0\.5, y=0\.0"):
-            grid_eval(row, grid)
-
-    def test_csv_format_and_roundtrip(self):
-        grid = GridSpec(axes=(Axis("a", 0.0, 1.0, 2), Axis("b", 0.0, 1.0, 2)))
-        res = grid_eval(lambda a, bs: a + bs / 3.0, grid)
-        buf = io.StringIO()
-        res.to_csv(buf)
-        text = buf.getvalue()
-        lines = text.strip().split("\n")
-        assert lines[0] == "axis1,axis2,value"
-        assert len(lines) == 5
-        for line in lines[1:]:
-            a, b, v = (float(c) for c in line.split(","))
-            assert v == a + b / 3.0  # 17g round-trips exactly
-
     def test_figure4_grid_k15_nonnegative(self):
         # sign pattern of the p = 1/2 kernel on a subsampled u x tau grid
-        grid = GridSpec(axes=(Axis("u", 0.5, 10.0, 12), Axis("tau", 0.01, 5.0, 12)))
-
-        def row(u, taus):
-            dist = Weibull(1.5, u)
-            return expression3(dist.cdf(taus), convolve_cdf(dist, taus))
-
-        res = grid_eval(row, grid)
-        assert float(res.values.min()) > -1e-9
+        taus = np.linspace(0.01, 5.0, 12)
+        for u in np.linspace(0.5, 10.0, 12):
+            dist = Weibull(1.5, float(u))
+            values = expression3(dist.cdf(taus), convolve_cdf(dist, taus))
+            assert float(values.min()) > -1e-9
 
     def test_figure6_grid_k2_both_signs(self):
         model = ParallelTwoModel(Weibull(2.0, 1.0))
-        grid = GridSpec(axes=(Axis("t", 0.0, 10.0, 15), Axis("Ta", 0.0, 10.0, 15)))
-        res = grid_eval(lambda t, tas: stage_survival_gap(model, t, tas).expr4, grid)
-        assert float(res.values.min()) < -1e-9
-        assert float(res.values.max()) > 1e-9
-
-    def test_rows_first_failing_cell_reported(self):
-        grid = GridSpec(axes=(Axis("x", 0.0, 1.0, 3), Axis("y", 0.0, 1.0, 3)))
-
-        def row(x, ys):
-            if x > 0.4 and np.any(ys > 0.7):
-                raise DomainError("boom")
-            return np.zeros_like(ys)
-
-        with pytest.raises(GridEvalError, match=r"x=0\.5, y=1\.0") as err:
-            grid_eval(row, grid)
-        assert err.value.point == (0.5, 1.0)
-
-    def test_axis_validation(self):
-        with pytest.raises(DomainError):
-            Axis("x", 1.0, 1.0, 5)
-        with pytest.raises(DomainError):
-            Axis("x", 0.0, 1.0, 1)
-        with pytest.raises(DomainError, match="2 axes"):
-            GridSpec(axes=(Axis("x", 0.0, 1.0, 2),))
+        axis = np.linspace(0.0, 10.0, 15)
+        values = stage_survival_gap(model, axis[:, None], axis[None, :]).expr4
+        assert values.shape == (15, 15)
+        assert float(values.min()) < -1e-9
+        assert float(values.max()) > 1e-9
 
 
 def test_classify_sign():

@@ -9,7 +9,6 @@ from archlab.distributions import (Exponential, ProcessingTimeDistribution,
                                    Uniform, Weibull)
 from archlab.errors import (ConditioningError, DomainError,
                             ExhaustedSurvivalError, GridEvalError)
-from archlab.numerics import Axis, GridSpec
 from archlab.parallel import (ParallelTwoModel, alpha_extrema,
                               classify_stage_trend, conditional_ict_survival,
                               hazard_ratio_alpha, ict_survival_trend,
@@ -367,19 +366,20 @@ class TestStageGrid:
 
 class TestClassifyTrend:
     def region(self, lo, hi, steps=12):
-        return GridSpec(axes=(Axis("t", lo, hi, steps), Axis("Ta", lo, hi, steps)))
+        axis = np.linspace(lo, hi, steps)
+        return axis, axis
 
     @pytest.mark.parametrize("k", [0.3, 0.7, 1.0])
     def test_weibull_k_at_most_one_second_stage_slower(self, k):
         res = classify_stage_trend(ParallelTwoModel(Weibull(k, 1.0)),
-                                   self.region(0.0, 6.0))
+                                   *self.region(0.0, 6.0))
         assert res.trend == "second_stage_slower"
         assert res.positive_witness is None
         assert res.negative_witness is not None
 
     def test_weibull_k4_mixed(self):
         res = classify_stage_trend(ParallelTwoModel(Weibull(4.0, 1.0)),
-                                   self.region(0.0, 10.0))
+                                   *self.region(0.0, 10.0))
         assert res.trend == "mixed"
         assert res.positive_witness is not None
         assert res.negative_witness is not None
@@ -389,20 +389,20 @@ class TestClassifyTrend:
 
     def test_uniform_mixed(self):
         res = classify_stage_trend(ParallelTwoModel(Uniform(2.0)),
-                                   self.region(0.0, 1.0))
+                                   *self.region(0.0, 1.0))
         assert res.trend == "mixed"
 
     def test_nan_expr4_raises_instead_of_counting_negative(self):
-        region = GridSpec(axes=(Axis("t", 0.0, 3.0, 3), Axis("Ta", 0.0, 3.0, 3)))
+        region = self.region(0.0, 3.0, 3)
         with pytest.raises(GridEvalError, match=r"t=0\.0, Ta=3\.0") as err:
-            classify_stage_trend(ParallelTwoModel(Weibull(1000.0, 1.0)), region)
+            classify_stage_trend(ParallelTwoModel(Weibull(1000.0, 1.0)), *region)
         assert err.value.point == (0.0, 3.0)
 
     def test_witnesses_are_first_cells_of_each_sign(self):
         model = ParallelTwoModel(Weibull(4.0, 1.0))
         region = self.region(0.0, 10.0)
-        res = classify_stage_trend(model, region)
-        grid = stage_survival_grid(model, *(ax.values() for ax in region.axes))
+        res = classify_stage_trend(model, *region)
+        grid = stage_survival_grid(model, *region)
         for sign, witness in (("positive", res.positive_witness),
                               ("negative", res.negative_witness)):
             i = grid.signs().index(sign)
@@ -411,7 +411,7 @@ class TestClassifyTrend:
 
     def test_exponential_slower(self):
         res = classify_stage_trend(ParallelTwoModel(Exponential(1.0)),
-                                   self.region(0.1, 5.0))
+                                   *self.region(0.1, 5.0))
         assert res.trend == "second_stage_slower"
 
 
