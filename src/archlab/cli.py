@@ -31,7 +31,9 @@ from .numerics import convolve_cdf, fmt17, write_table
 if TYPE_CHECKING:
     from .parallel import StageSurvivalGrid
 
-_FIG_DEFAULT_K = {"fig4": 0.5, "fig5": 0.2, "fig6": 2.0}
+# The flags each figure takes, with their defaults; any other is an error.
+_FIG_DEFAULTS = {"fig4": {"k": 0.5}, "fig5": {"k": 0.2},
+                 "fig6": {"k": 2.0, "u": 1.0}, "fig7": {"v": 2.0}}
 
 
 @contextlib.contextmanager
@@ -93,9 +95,9 @@ def _build_parser() -> _Parser:
     fig.add_argument("id", choices=["fig4", "fig5", "fig6", "fig7"])
     fig.add_argument("--k", type=float, default=None,
                      help="Weibull shape override (fig4/5/6)")
-    fig.add_argument("--u", type=float, default=1.0,
+    fig.add_argument("--u", type=float, default=None,
                      help="Weibull rate (fig6; default 1)")
-    fig.add_argument("--v", type=float, default=2.0,
+    fig.add_argument("--v", type=float, default=None,
                      help="uniform upper bound (fig7; default 2)")
     fig.add_argument("--steps", type=int, default=100)
     fig.add_argument("--out", default=None)
@@ -180,14 +182,16 @@ def _write_report(args, payload: dict) -> int:
 
 
 def _check_axes(steps: int, **ranges: tuple[float, float]) -> None:
-    """--steps >= 2 and, for each NAME=(lo, hi), finite --NAME-min <
-    --NAME-max."""
+    """--steps >= 2 and, for each NAME=(lo, hi), finite
+    0 <= --NAME-min < --NAME-max."""
     if steps < 2:
         raise UsageError("--steps must be >= 2")
     for name, (lo, hi) in ranges.items():
         for end, value in (("min", lo), ("max", hi)):
             if not math.isfinite(value):
                 raise UsageError(f"--{name}-{end} must be finite, got {value}")
+        if lo < 0:
+            raise UsageError(f"--{name}-min must be >= 0, got {lo}")
         if not hi > lo:
             raise UsageError(f"--{name}-max ({hi}) must exceed --{name}-min ({lo})")
 
@@ -242,20 +246,25 @@ def _expr3_grid(k: float, us: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
 
 def _cmd_figure(args) -> int:
+    par = dict(_FIG_DEFAULTS[args.id])
+    for flag in ("k", "u", "v"):
+        if getattr(args, flag) is not None:
+            if flag not in par:
+                raise UsageError(f"--{flag} does not apply to {args.id}")
+            par[flag] = getattr(args, flag)
     steps = args.steps
     _check_axes(steps)
     if args.id in ("fig4", "fig5"):
-        k = args.k if args.k is not None else _FIG_DEFAULT_K[args.id]
+        k = par["k"]
         Weibull(k, 1.0)  # a bad --k is reported as such, not as a grid cell
         us, taus = np.linspace(0.5, 10.0, steps), np.linspace(0.01, 5.0, steps)
         cols = (np.repeat(us, steps), np.tile(taus, steps),
                 _expr3_grid(k, us, taus).reshape(-1))
     else:
         if args.id == "fig6":
-            k = args.k if args.k is not None else _FIG_DEFAULT_K["fig6"]
-            dist, hi = Weibull(k, args.u), 10.0
+            dist, hi = Weibull(par["k"], par["u"]), 10.0
         else:
-            dist, hi = Uniform(args.v), 1.0
+            dist, hi = Uniform(par["v"]), 1.0
         stage = _stage_grid(dist, dist.spec_string(), steps, (0.0, hi), (0.0, hi))
         cols = (stage.t, stage.ta, stage.expr4)
     write_table(_open_out(args.out), ("axis1", "axis2", "value"), cols,

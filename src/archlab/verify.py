@@ -19,8 +19,8 @@ from .distributions import Exponential, Uniform, Weibull
 from .numerics import ABS_TOL, classify_sign, convolve_cdf
 from .parallel import (ParallelTwoModel, alpha_extrema, conditional_ict_survival,
                        parallel_dependence_difference, stage_survival_gap)
-from .serial import (SerialTwoModel, _checked_difference, _components,
-                     dependence_difference, marginal_completion_cdf)
+from .serial import (SerialTwoModel, dependence_difference, dependence_profile,
+                     marginal_completion_cdf)
 
 _VERIFY_SEED = 0x5EED_2024
 
@@ -51,14 +51,11 @@ def _check_route_agreement() -> CheckResult:
         dist = _random_dist(rng)
         p = float(rng.uniform(0.0, 1.0))
         tau = float(dist.quantile(float(rng.uniform(0.05, 0.99))))
-        f_val, conv, ma, mb = _components(SerialTwoModel(dist, p), tau)
-        if ma <= 0.0 or conv <= 0.0:
-            continue
-        quotient = conv / ma - mb
-        root = math.sqrt(conv)
-        factored = (conv / ma) * (1.0 - f_val
-                                  - p * (1.0 - p) * (root - f_val / root) ** 2)
-        worst = max(worst, abs(quotient - factored))
+        prof = dependence_profile(SerialTwoModel(dist, p), np.array([tau]))
+        f_val, root = prof.f[0], math.sqrt(prof.conv[0])
+        factored = prof.r[0] * (1.0 - f_val
+                                - p * (1.0 - p) * (root - f_val / root) ** 2)
+        worst = max(worst, abs(prof.difference[0] - factored))
     return CheckResult("analysis", "quotient_vs_factored_agreement",
                        worst <= 1e-9, f"max |route gap| = {worst:.3e} (tol 1e-9)")
 
@@ -71,12 +68,10 @@ def _check_fixed_order_nonnegative() -> CheckResult:
         dist = _random_dist(rng)
         p = float(rng.integers(0, 2))
         tau = float(dist.quantile(float(rng.uniform(0.05, 0.999))))
-        model = SerialTwoModel(dist, p)
-        f_val, conv, ma, mb = _components(model, tau)
-        diff = _checked_difference(model, tau, f_val, conv, ma, mb)
+        prof = dependence_profile(SerialTwoModel(dist, p), np.array([tau]))
+        diff = prof.difference[0]
         worst_neg = min(worst_neg, diff)
-        if ma > 0:
-            worst_gap = max(worst_gap, abs(diff - (conv / ma) * (1.0 - f_val)))
+        worst_gap = max(worst_gap, abs(diff - prof.r[0] * (1.0 - prof.f[0])))
     ok = worst_neg >= -1e-9 and worst_gap <= 1e-9
     return CheckResult("analysis", "single_order_nonnegative",
                        ok, f"min diff = {worst_neg:.3e}, "
@@ -332,32 +327,36 @@ def _check_perm_sum() -> CheckResult:
 
 
 def _check_equivalence() -> CheckResult:
+    # Each sampler against the exact law, so that an error both share shows
+    # too.  Given the order, stage j lasts Exp(R_j), R_j the sum of the rates
+    # not yet recalled, so u = 1 - exp(-R_j t_j) is Uniform(0, 1).
     from itertools import permutations
-
-    # the only scipy use outside the tests; importing it here keeps it off
-    # every other command's start-up
-    from scipy import stats
     rng = np.random.default_rng(_VERIFY_SEED + 10)
-    min_p = 1.0
+    n_trials = 100_000
+    z = []
     for n in (2, 3, 4):
-        rates = tuple(float(r) for r in rng.uniform(0.5, 2.5, n))
-        model = recall.RecallModel(rates)
-        a = recall.sample_vu_serial(model, 100_000, 2024)
-        b = recall.sample_parallel_expo(model, 100_000, 4048)
-        # an order is the base-n number of its item indices; the columns
-        # are the orders in permutations() sequence
-        place = n ** np.arange(n)
-        columns = np.array(list(permutations(range(n)))) @ place
-        counts = np.array([np.bincount(t.orders @ place, minlength=n ** n)[columns]
-                           for t in (a, b)], dtype=float)
-        _, p_chi2, _, _ = stats.chi2_contingency(counts)
-        min_p = min(min_p, float(p_chi2))
-        for j in range(n):
-            ks = stats.ks_2samp(a.icts[:, j], b.icts[:, j])
-            min_p = min(min_p, float(ks.pvalue))
+        model = recall.RecallModel(tuple(rng.uniform(0.5, 2.5, n)))
+        rates = np.array(model.rates)
+        perms = np.array(list(permutations(range(n))))
+        expected = n_trials * np.array([recall.vu_order_probability(model, p)
+                                        for p in perms])
+        place = n ** np.arange(n)  # an order is the base-n number of its items
+        for trials in (recall.sample_vu_serial(model, n_trials, 2024),
+                       recall.sample_parallel_expo(model, n_trials, 4048)):
+            counts = np.bincount(trials.orders @ place, minlength=n ** n)
+            z.append((counts[perms @ place] - expected)
+                     / np.sqrt(expected * (1.0 - expected / n_trials)))
+            remaining = np.cumsum(rates[trials.orders][:, ::-1], axis=1)[:, ::-1]
+            u = -np.expm1(-remaining * trials.icts)
+            # u < 0 (a negative duration) falls in the first decile, nan in the last
+            deciles = np.searchsorted(np.arange(1, 10) / 10, u, side="right")
+            z.extend((np.bincount(d, minlength=10) - n_trials / 10)
+                     / math.sqrt(0.09 * n_trials) for d in deciles.T)
+    worst = float(np.max(np.abs(np.concatenate(z))))
     return CheckResult("recall", "serial_parallel_equivalence",
-                       min_p >= 0.001, f"min p-value = {min_p:.4f} "
-                                       "(chi2 on orders, KS per stage; level 0.001)")
+                       worst <= 4.0, f"max |z| = {worst:.2f} over the order counts "
+                                     "and per-stage deciles of both samplers "
+                                     "against the exact law (bound 4 sigma)")
 
 
 def _check_equal_rate_reduction() -> CheckResult:

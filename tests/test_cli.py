@@ -55,6 +55,15 @@ class TestFigures:
         assert code == 2
         assert "axis t" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["fig4", "--u", "2"], ["fig5", "--v", "3"], ["fig6", "--v", "3"],
+        ["fig7", "--k", "3", "--u", "9"], ["fig7", "--u", "1"],
+    ])
+    def test_flag_of_another_figure_usage_error(self, argv, capsys):
+        # --k sets fig4/5/6, --u fig6 and --v fig7 only
+        code, out, err = run(["figure", *argv, "--steps", "2"], capsys)
+        assert (code, out, err) == (1, "", f"{argv[1]} does not apply to {argv[0]}\n")
+
     def test_json_format(self, capsys):
         code, out, _ = run(["figure", "fig7", "--steps", "3",
                             "--format", "json"], capsys)
@@ -238,6 +247,11 @@ class TestDependence:
                               "inf", "--steps", "3"], capsys)
         assert (code, out, err) == (1, "", "--tau-max must be finite, got inf\n")
 
+    def test_negative_tau_min_usage_error(self, capsys):
+        code, out, err = run(["dependence", "--dist", "exp:u=1", "--tau-min",
+                              "-1", "--steps", "2"], capsys)
+        assert (code, out, err) == (1, "", "--tau-min must be >= 0, got -1.0\n")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_k_density_underflow_converges(self, capsys):
         # the k = 400 density is 0, not nan, where (u t)^399 overflows
@@ -280,13 +294,15 @@ class TestStageSurvival:
         ["--t-min", "5", "--t-max", "1"], ["--ta-min", "2", "--ta-max", "2"],
         ["--t-min", "4"],  # above the default --t-max of 3
         ["--t-max", "inf"],
+        ["--t-min", "-1"], ["--ta-min", "-0.5"],
     ])
     def test_axis_usage_errors(self, flags, capsys):
         code, out, err = run(["stage-survival", "--dist", "weibull:k=2,u=1"]
                              + flags, capsys)
         assert code == 1 and out == ""
         assert ("--steps must be >= 2" in err or "must exceed" in err
-                or err == "--t-max must be finite, got inf\n")
+                or err == "--t-max must be finite, got inf\n"
+                or err == f"{flags[0]} must be >= 0, got {float(flags[1])}\n")
 
     def test_nan_cell_exit_2(self, capsys):
         code, out, err = run(["stage-survival", "--dist", "weibull:k=1000,u=1",
@@ -469,16 +485,17 @@ def test_reader_closing_stdout_early_is_not_an_error():
 
 class TestStartup:
     def test_commands_do_not_import_scipy(self):
-        # scipy costs about 1 s of start-up; only verify's recall-equivalence
-        # check imports it, inside the check
+        # scipy is a test dependency only, and would cost about 1 s of
+        # start-up; verify's recall suite holds the one check that used it
         src = Path(__file__).resolve().parents[1] / "src"
         code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "import archlab, archlab.cli; "
+                "import archlab; from archlab.cli import main; "
+                "assert main(['verify', '--suite', 'recall']) == 0; "
                 "print(sorted(m for m in sys.modules "
                 "if m == 'scipy' or m.startswith('scipy.')))")
         done = subprocess.run([sys.executable, "-c", code, str(src)],
                               capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.splitlines()[-1] == "[]"
 
     # Prints, last, the archlab submodules and whether json is loaded after
     # the body runs in a fresh interpreter; argv[1] is src/, argv[2:] the

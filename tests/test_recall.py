@@ -8,7 +8,7 @@ from scipy import integrate as scipy_integrate
 from scipy import stats
 from scipy.special import logsumexp as scipy_logsumexp
 
-from archlab import mc, recall
+from archlab import mc, recall, verify
 from archlab.distributions import Exponential, Weibull
 from archlab.errors import DegenerateDataError, DomainError
 
@@ -158,6 +158,59 @@ class TestSamplers:
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "trial,position,item,ict,cumulative_time"
         assert len(lines) == 7
+
+
+class TestVerifyEquivalenceCheck:
+    """verify's serial_parallel_equivalence bounds each sampler against the
+    exact law; the two-sample comparison it replaced stays here."""
+
+    @staticmethod
+    def _draws():
+        rng = np.random.default_rng(verify._VERIFY_SEED + 10)
+        for n in (2, 3, 4):
+            model = recall.RecallModel(tuple(rng.uniform(0.5, 2.5, n)))
+            yield (n, recall.sample_vu_serial(model, 100_000, 2024),
+                   recall.sample_parallel_expo(model, 100_000, 4048))
+
+    def test_two_sample_reference_on_the_same_draws(self):
+        for n, a, b in self._draws():
+            place = n ** np.arange(n)
+            columns = np.array(list(permutations(range(n)))) @ place
+            counts = [np.bincount(t.orders @ place, minlength=n ** n)[columns]
+                      for t in (a, b)]
+            assert stats.chi2_contingency(counts).pvalue >= 0.001
+            for j in range(n):
+                assert stats.ks_2samp(a.icts[:, j], b.icts[:, j]).pvalue >= 0.001
+
+    @staticmethod
+    def _first_rate_scaled(sampler, factor):
+        def scaled(model, n_trials, seed):
+            rates = (model.rates[0] * factor,) + model.rates[1:]
+            return sampler(recall.RecallModel(rates), n_trials, seed)
+        return scaled
+
+    def test_fails_when_one_sampler_is_off(self, monkeypatch):
+        monkeypatch.setattr(recall, "sample_parallel_expo", self._first_rate_scaled(
+            recall.sample_parallel_expo, 1.05))
+        assert not verify._check_equivalence().passed
+
+    def test_fails_when_both_samplers_share_an_error(self, monkeypatch):
+        # the samplers still agree with each other, so a two-sample test
+        # cannot see this
+        for name in ("sample_vu_serial", "sample_parallel_expo"):
+            monkeypatch.setattr(recall, name, self._first_rate_scaled(
+                getattr(recall, name), 1.05))
+        assert not verify._check_equivalence().passed
+
+    def test_fails_on_nan_durations(self, monkeypatch):
+        sampler = recall.sample_vu_serial
+
+        def broken(model, n_trials, seed):
+            trials = sampler(model, n_trials, seed)
+            trials.icts[::2, -1] = np.nan
+            return trials
+        monkeypatch.setattr(recall, "sample_vu_serial", broken)
+        assert not verify._check_equivalence().passed
 
 
 class TestHyperbolicMeans:
