@@ -273,8 +273,6 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_theorem1(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     from . import mc
 
     seed = mc.DEFAULT_SEED if args.seed is None else args.seed
@@ -315,8 +313,6 @@ def _parse_rates(raw: str | None) -> tuple[float, ...]:
 
 
 def _cmd_simulate(args) -> int:
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, got {args.n}")
     from . import mc
 
     seed = mc.DEFAULT_SEED if args.seed is None else args.seed
@@ -402,6 +398,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise UsageError("archlab: a subcommand is required "
                              "(figure, theorem1, dependence, stage-survival, "
                              "simulate, fit, verify)")
+        for flag, low in (("n", 1), ("seed", 0)):  # theorem1 and simulate
+            if (value := vars(args).get(flag)) is not None and value < low:
+                raise UsageError(f"--{flag} must be >= {low}, got {value}")
         handler = {
             "figure": _cmd_figure,
             "theorem1": _cmd_theorem1,

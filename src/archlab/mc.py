@@ -58,6 +58,8 @@ def uniform_blocks(seed: int, n_trials: int, draws_per_trial: int,
     are the same either way."""
     if n_trials < 1:
         raise DomainError(f"n_trials must be >= 1, got {n_trials}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     for block in range(0, (n_trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
         start = block * BLOCK_TRIALS
         length = min(BLOCK_TRIALS, n_trials - start)

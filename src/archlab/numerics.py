@@ -7,8 +7,7 @@ The convolution of two iid processing times,
 is computed in the equivalent split form
 ``F(tau/2)^2 + 2 int_{tau/2}^tau f(x) F(tau - x) dx`` so that densities are
 never evaluated near the origin (where the Weibull density with k < 1
-diverges).  Closed forms are used for the exponential and uniform families
-unless the numerical path is explicitly requested for cross-checking.
+diverges).  Closed forms are used for the exponential and uniform families.
 
 Every numerical integral, the convolution over a whole array of tau values
 included, goes through one adaptive Gauss-Kronrod G7/K15 rule
@@ -174,8 +173,7 @@ def integrate(fn: Callable[[float], float], a: float, b: float,
     return float(total[0])
 
 
-def convolve_cdf(dist: ProcessingTimeDistribution, tau,
-                 force_numeric: bool = False):
+def convolve_cdf(dist: ProcessingTimeDistribution, tau):
     """P(z1 + z2 <= tau) for two iid draws from ``dist``.
 
     ``tau`` is a scalar (a float is returned) or an array (an array of the
@@ -186,13 +184,11 @@ def convolve_cdf(dist: ProcessingTimeDistribution, tau,
     * uniform: tau^2/(2 v^2) on [0, v); 2 tau/v - tau^2/(2 v^2) - 1 on
       [v, 2 v); 1 beyond
 
-    ``force_numeric=True`` routes them through the quadrature path instead
-    (retained for cross-checking).  The Weibull family has no closed form
-    and always integrates numerically, as do custom distributions, whose
-    ``pdf`` and ``cdf`` are called with arrays of nodes.  A tau at which
-    the quadrature misses ``ABS_TOL`` raises
-    :class:`QuadratureConvergenceError` naming the first such tau and
-    carrying its best estimate.
+    The Weibull family, ``Weibull(1, u)`` included, has no closed form and
+    integrates numerically, as do custom distributions, whose ``pdf`` and
+    ``cdf`` are called with arrays of nodes.  A tau at which the quadrature
+    misses ``ABS_TOL`` raises :class:`QuadratureConvergenceError` naming the
+    first such tau and carrying its best estimate.
     """
     taus = np.asarray(tau, dtype=float)
     if not np.all(np.isfinite(taus)):
@@ -200,10 +196,10 @@ def convolve_cdf(dist: ProcessingTimeDistribution, tau,
     if np.any(taus < 0):
         raise DomainError(f"tau must be nonnegative, got {tau}")
 
-    if not force_numeric and isinstance(dist, Exponential):
+    if isinstance(dist, Exponential):
         ut = dist.u * taus
         conv = -np.expm1(-ut) - ut * np.exp(-ut)
-    elif not force_numeric and isinstance(dist, Uniform):
+    elif isinstance(dist, Uniform):
         x = taus / dist.v
         conv = np.where(x < 1.0, 0.5 * x * x,
                         np.where(x < 2.0, 2.0 * x - 0.5 * x * x - 1.0, 1.0))

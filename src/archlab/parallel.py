@@ -21,8 +21,9 @@ alpha can misclassify: the grid's alpha at (t, T_a) may lie on the other
 side of 2 from the actual sign of the gap.  :func:`alpha_extrema` gives the
 extrema of alpha over the integration range on demand.
 
-The gap, expr4 and alpha take scalars (and return floats) or broadcastable
-arrays of (t, T_a) (and return arrays); a grid is one array call.
+Every functional takes scalars (and returns floats) or broadcastable
+arrays of (t, T_a) (and returns arrays); a grid is one array call, and an
+error names the first failing cell in row-major order.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ProcessingTimeDistribution, EPS_SURVIVAL
+from .distributions import ProcessingTimeDistribution
 from .errors import (ConditioningError, DomainError, ExhaustedSurvivalError,
                      GridEvalError)
 from .numerics import classify_sign, write_table
@@ -46,55 +47,54 @@ class ParallelTwoModel:
     dist: ProcessingTimeDistribution
 
 
-def parallel_dependence_difference(model: ParallelTwoModel, tau: float) -> float:
+def parallel_dependence_difference(model: ParallelTwoModel, tau):
     """Conditional-minus-marginal completion difference; identically zero.
 
     The value is computed as the evaluated quotient minus the marginal
     (not short-circuited to 0) so callers can confirm the cancellation
-    numerically.
+    numerically.  A scalar ``tau`` gives a float, an array of tau an array.
     """
-    if not math.isfinite(tau):
-        raise DomainError(f"tau must be finite, got {tau}")
-    if tau < 0:
-        raise DomainError(f"tau must be nonnegative, got {tau}")
-    f_val = float(model.dist.cdf(tau))
-    if f_val <= 0.0:
-        raise ConditioningError(
-            f"conditioning on null event: P(completion by tau={tau}) = 0")
-    joint = f_val * f_val
-    return joint / f_val - f_val
+    tau, _, shape = _cells(tau, 0.0, "tau must be finite and nonnegative, "
+                                     "got tau={!r}")
+    f_val = model.dist.cdf(tau)
+    _require(f_val <= 0.0, tau, tau, ConditioningError,
+             "conditioning on null event: P(completion by tau={!r}) = 0")
+    return _shaped(f_val * f_val / f_val - f_val, shape)  # joint / F - F
 
 
-def conditional_ict_survival(model: ParallelTwoModel, t_a: float, t: float) -> float:
-    """S(T_a + t) / S(T_a): second-stage survival given stage 1 ended at T_a.
+def conditional_ict_survival(model: ParallelTwoModel, t_a, t):
+    """exp(-(H(T_a + t) - H(T_a))) = S(T_a + t) / S(T_a): second-stage
+    survival given stage 1 ended at T_a.
 
     Returns 0 (not an error) when T_a + t reaches the end of a bounded
     support while S(T_a) is still positive: the probability is genuinely
-    zero there.
+    zero there.  Raises :class:`ConditioningError` at the first cell whose
+    survival is exhausted at T_a or at T_a + t inside the support, or
+    whose H(T_a) overflows.
     """
-    if not (math.isfinite(t_a) and math.isfinite(t)):
-        raise DomainError(f"T_a and t must be finite, got T_a={t_a}, t={t}")
-    if t < 0 or t_a < 0:
-        raise DomainError(f"T_a and t must be nonnegative, got T_a={t_a}, t={t}")
-    s_a = float(model.dist.survival(t_a))
-    if s_a <= EPS_SURVIVAL:
-        raise ConditioningError(
-            f"stage-1 condition has no survival mass at T_a={t_a}")
-    if t_a + t >= model.dist.support_upper:
-        return 0.0
-    return float(model.dist.survival(t_a + t)) / s_a
+    t, t_a, shape = _cells(t, t_a)
+    h_a, h_at, inside, exhausted = _second_stage(model.dist, t, t_a,
+                                                 model.dist.exhausted(t_a))
+    with np.errstate(invalid="ignore"):  # inf - inf where H(T_a) overflows
+        out = np.where(inside, _exp(-(h_at - h_a)), 0.0)
+    _require(exhausted | np.isnan(out), t, t_a, ConditioningError, _EXHAUSTED)
+    return _shaped(out, shape)
 
 
-def ict_survival_trend(model: ParallelTwoModel, t_a: float, t: float,
-                       tol: float = 1e-9) -> str:
+def ict_survival_trend(model: ParallelTwoModel, t_a, t):
     """Sign of d/dT_a of the conditional second-stage survival.
 
     The derivative carries the sign of h(T_a) - h(T_a + t), so a
-    non-increasing hazard makes the trend never negative.
+    non-increasing hazard makes the trend never negative; the sign is
+    classified under 1e-9 (1 + |h(T_a)| + |h(T_a + t)|).  Raises
+    :class:`DomainError` at the first cell where a hazard is undefined.
     """
-    h_a = float(model.dist.hazard(t_a))
-    h_b = float(model.dist.hazard(t_a + t))
-    return classify_sign(h_a - h_b, tol * (1.0 + abs(h_a) + abs(h_b)))
+    t, t_a, shape = _cells(t, t_a)
+    h_a, h_b = _hazard(model.dist, t_a), _hazard(model.dist, t_a + t)
+    _require(np.isnan(h_a) | np.isnan(h_b), t, t_a, DomainError,
+             "hazard undefined at t={!r}, T_a={!r}")
+    return _shaped(classify_sign(h_a - h_b, 1e-9 * (1.0 + abs(h_a) + abs(h_b))),
+                   shape)
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -105,17 +105,19 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, x.tolist()), float, x.size)
 
 
-def _cells(t, t_a) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-    """(t, T_a) broadcast to one shape and flattened, and that shape;
-    raises :class:`DomainError` at the first negative or non-finite cell."""
+def _cells(t, t_a, message: str = "t and T_a must be finite and nonnegative, "
+                                    "got t={!r}, T_a={!r}"):
+    """(t, T_a) broadcast to one shape, flattened, and that shape; the first
+    negative or non-finite cell raises ``DomainError(message)``."""
     t, t_a = np.broadcast_arrays(np.asarray(t, dtype=float),
                                  np.asarray(t_a, dtype=float))
     shape, t, t_a = t.shape, t.ravel(), t_a.ravel()
-    bad = ~(np.isfinite(t) & np.isfinite(t_a) & (t >= 0.0) & (t_a >= 0.0))
-    if bad.any():
-        raise DomainError("t and T_a must be finite and nonnegative, got "
-                          "t={!r}, T_a={!r}".format(*_first(t, t_a, bad)))
+    _require(~(np.isfinite(t) & np.isfinite(t_a) & (t >= 0.0) & (t_a >= 0.0)),
+             t, t_a, DomainError, message)
     return t, t_a, shape
+
+
+_EXHAUSTED = "cumulative hazard undefined: exhausted survival at t={!r}, T_a={!r}"
 
 
 def _first(t, t_a, bad) -> tuple[float, float, int]:
@@ -124,9 +126,15 @@ def _first(t, t_a, bad) -> tuple[float, float, int]:
     return float(t[i]), float(t_a[i]), i
 
 
+def _require(bad, t, t_a, error, message: str) -> None:
+    """Raise ``error(message)`` formatted with the first ``bad`` cell."""
+    if bad.any():
+        raise error(message.format(*_first(t, t_a, bad)))
+
+
 def _shaped(x: np.ndarray, shape: tuple[int, ...]):
-    """A flat result in the caller's shape; a float for scalar inputs."""
-    return float(x[0]) if shape == () else x.reshape(shape)
+    """A flat result in the caller's shape; a float (or str) for scalars."""
+    return x.tolist()[0] if shape == () else x.reshape(shape)
 
 
 def _masked(fn, x: np.ndarray, use: np.ndarray) -> np.ndarray:
@@ -159,16 +167,13 @@ def _alpha(dist: ProcessingTimeDistribution, t: np.ndarray,
 def hazard_ratio_alpha(model: ParallelTwoModel, t, t_a):
     """alpha(t, T_a + t) = h(T_a + t) / h(t).
 
-    ``t`` and ``t_a`` are scalars (a float is returned) or broadcastable
-    arrays (an array is returned).  Raises :class:`DomainError` naming the
-    first cell where h(t) is not positive or a hazard is undefined.
+    Raises :class:`DomainError` naming the first cell where h(t) is not
+    positive or a hazard is undefined.
     """
     t, t_a, shape = _cells(t, t_a)
     alpha = _alpha(model.dist, t, t_a)
-    if np.isnan(alpha).any():
-        raise DomainError("hazard ratio undefined at t={!r}, T_a={!r}: h(t) is "
-                          "not positive or a hazard is undefined".format(
-                              *_first(t, t_a, np.isnan(alpha))))
+    _require(np.isnan(alpha), t, t_a, DomainError, "hazard ratio undefined at "
+             "t={!r}, T_a={!r}: h(t) is not positive or a hazard is undefined")
     return _shaped(alpha, shape)
 
 
@@ -178,6 +183,19 @@ class StageGap:
     expr4: float | np.ndarray
 
 
+def _second_stage(dist: ProcessingTimeDistribution, t: np.ndarray,
+                  t_a: np.ndarray, exhausted: np.ndarray):
+    """H(T_a) and H(T_a + t) of flat (t, T_a) arrays, the cells where T_a + t
+    is inside the support (nan elsewhere), and ``exhausted`` (the cells
+    exhausted at T_a, at least) with those exhausted at T_a + t added."""
+    shift = t_a + t
+    inside = ~exhausted & (shift < dist.support_upper)
+    exhausted[inside] = dist.exhausted(shift[inside])
+    inside &= ~exhausted
+    return (_masked(dist.cum_hazard, t_a, inside),
+            _masked(dist.cum_hazard, shift, inside), inside, exhausted)
+
+
 def _stage_gap(dist: ProcessingTimeDistribution, t: np.ndarray,
                t_a: np.ndarray):
     """gap, expr4 and the exhausted cells of flat (t, T_a) arrays.
@@ -185,14 +203,9 @@ def _stage_gap(dist: ProcessingTimeDistribution, t: np.ndarray,
     A cell is exhausted when survival is exhausted at t, at T_a or at a
     T_a + t inside the support; its gap and expr4 are nan.
     """
-    exhausted = dist.exhausted(t) | dist.exhausted(t_a)
-    shift = t_a + t
-    inside = ~exhausted & (shift < dist.support_upper)
-    exhausted[inside] = dist.exhausted(shift[inside])
-    inside &= ~exhausted
+    h_a, h_at, inside, exhausted = _second_stage(
+        dist, t, t_a, dist.exhausted(t) | dist.exhausted(t_a))
     h_t = _masked(dist.cum_hazard, t, ~exhausted)
-    h_a = _masked(dist.cum_hazard, t_a, ~exhausted)
-    h_at = _masked(dist.cum_hazard, shift, inside)
     first = _exp(-2.0 * h_t)
     with np.errstate(invalid="ignore"):
         # beyond a bounded support end the second-stage survival is 0
@@ -202,9 +215,6 @@ def _stage_gap(dist: ProcessingTimeDistribution, t: np.ndarray,
     return gap, expr4, exhausted
 
 
-_EXHAUSTED = "cumulative hazard undefined: exhausted survival at t={!r}, T_a={!r}"
-
-
 def stage_survival_gap(model: ParallelTwoModel, t, t_a) -> StageGap:
     """First-stage survival S(t)^2 minus second-stage conditional survival.
 
@@ -212,36 +222,28 @@ def stage_survival_gap(model: ParallelTwoModel, t, t_a) -> StageGap:
     cumulative-hazard combination carrying the same sign.  When T_a + t
     reaches a bounded support end (with t and T_a themselves inside), the
     second-stage survival is exactly zero: gap = S(t)^2 and expr4 = +inf.
-    ``t`` and ``t_a`` are scalars (floats are returned) or broadcastable
-    arrays (arrays are returned); :class:`DomainError` names the first
-    failing cell.
+    Raises :class:`ExhaustedSurvivalError` at the first exhausted cell.
     """
     t, t_a, shape = _cells(t, t_a)
     gap, expr4, exhausted = _stage_gap(model.dist, t, t_a)
-    if exhausted.any():
-        raise ExhaustedSurvivalError(
-            _EXHAUSTED.format(*_first(t, t_a, exhausted)))
+    _require(exhausted, t, t_a, ExhaustedSurvivalError, _EXHAUSTED)
     return StageGap(gap=_shaped(gap, shape), expr4=_shaped(expr4, shape))
 
 
-def alpha_extrema(model: ParallelTwoModel, t: float, t_a: float,
-                  samples: int = 65) -> tuple[float, float]:
+def alpha_extrema(model: ParallelTwoModel, t, t_a):
     """Extrema of alpha(s, T_a + s) over s in (0, t].
 
-    Sampled on a geometric grid reaching down to t * 1e-9; for every
-    built-in family alpha is monotone in s, so the sampled extrema bracket
-    the true ones up to the s -> 0 endpoint limit.  Samples where alpha is
-    undefined are left out; (nan, nan) if none is left.
+    Sampled at 65 points of a geometric grid reaching down to t * 1e-9;
+    for every built-in family alpha is monotone in s, so the sampled
+    extrema bracket the true ones up to the s -> 0 endpoint limit.  Samples
+    where alpha is undefined are left out; (nan, nan) if none is left, as
+    at t = 0.  Scalars give a pair of floats, arrays a pair of arrays.
     """
-    if t <= 0:
-        return (math.nan, math.nan)
-    s = np.geomspace(t * 1e-9, t, samples)
-    s = s[t_a + s < model.dist.support_upper]
-    alpha = _alpha(model.dist, s, t_a)
-    alpha = alpha[~np.isnan(alpha)]
-    if alpha.size == 0:
-        return (math.nan, math.nan)
-    return (float(np.min(alpha)), float(np.max(alpha)))
+    t, t_a, shape = _cells(t, t_a)
+    s = t[:, None] * np.geomspace(1e-9, 1.0, 65)  # each cell's samples
+    alpha = np.where(s > 0.0, _alpha(model.dist, s, t_a[:, None]), math.nan)
+    return (_shaped(np.fmin.reduce(alpha, axis=-1), shape),
+            _shaped(np.fmax.reduce(alpha, axis=-1), shape))
 
 
 @dataclass

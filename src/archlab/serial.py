@@ -58,13 +58,8 @@ class SerialTwoModel:
 
 def _components(model: SerialTwoModel, tau):
     """(F, conv, marginal_a, marginal_b) at a scalar or an array of tau."""
-    taus = np.asarray(tau, dtype=float)
-    if not np.all(np.isfinite(taus)):
-        raise DomainError(f"tau must be finite, got {tau}")
-    if np.any(taus < 0):
-        raise DomainError(f"tau must be nonnegative, got {tau}")
+    conv = convolve_cdf(model.dist, tau)  # checks tau first
     f_val = model.dist.cdf(tau)
-    conv = convolve_cdf(model.dist, tau)
     p = model.p
     marginal_a = p * f_val + (1.0 - p) * conv
     marginal_b = (1.0 - p) * f_val + p * conv

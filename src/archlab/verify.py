@@ -15,7 +15,8 @@ from typing import Callable
 import numpy as np
 
 from . import mc, recall
-from .distributions import Exponential, Uniform, Weibull
+from .distributions import (Exponential, ProcessingTimeDistribution, Uniform,
+                            Weibull)
 from .numerics import ABS_TOL, classify_sign, convolve_cdf
 from .parallel import (ParallelTwoModel, alpha_extrema, conditional_ict_survival,
                        parallel_dependence_difference, stage_survival_gap)
@@ -88,13 +89,30 @@ def _weibull2_conv(u: float, taus: np.ndarray) -> np.ndarray:
     return -np.expm1(-s * s) - math.sqrt(math.pi / 2.0) * s * np.exp(-0.5 * s * s) * erf
 
 
+@dataclass(frozen=True)
+class _PdfCdfOnly(ProcessingTimeDistribution):
+    """``dist`` seen only through its pdf, cdf and breakpoints."""
+
+    dist: ProcessingTimeDistribution
+
+    def pdf(self, t):
+        return self.dist.pdf(t)
+
+    def cdf(self, t):
+        return self.dist.cdf(t)
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return self.dist.breakpoints()
+
+
 def _check_conv_closed_forms() -> CheckResult:
     worst = 0.0
-    for dist, hi in ((Exponential(1.3), 6.0), (Uniform(2.0), 5.0)):
+    # neither Weibull(1, u) nor the wrapper has a closed form: both integrate
+    for dist, numeric, hi in ((Exponential(1.3), Weibull(1.0, 1.3), 6.0),
+                              (Uniform(2.0), _PdfCdfOnly(Uniform(2.0)), 5.0)):
         taus = np.linspace(0.01, hi, 100)
-        closed = convolve_cdf(dist, taus)
-        numeric = convolve_cdf(dist, taus, force_numeric=True)
-        worst = max(worst, float(np.max(np.abs(closed - numeric))))
+        worst = max(worst, float(np.max(np.abs(
+            convolve_cdf(dist, taus) - convolve_cdf(numeric, taus)))))
     taus = np.linspace(0.01, 6.0, 100)
     taus = taus[1.3 * taus >= 0.05]
     worst = max(worst, float(np.max(np.abs(
@@ -153,23 +171,18 @@ def _check_gap_sign_consistency() -> CheckResult:
 
 
 def _check_hazard_ratio_threshold() -> CheckResult:
-    violations = 0
-    checked = 0
+    violations, checked = 0, 0
     for model, t_hi in ((ParallelTwoModel(Weibull(2.0, 1.0)), 6.0),
                         (ParallelTwoModel(Weibull(0.5, 1.0)), 6.0),
                         (ParallelTwoModel(Exponential(1.0)), 6.0),
                         (ParallelTwoModel(Uniform(2.0)), 0.95)):
-        t_axis, ta_axis = np.linspace(0.05, t_hi, 15), np.linspace(0.0, t_hi, 15)
-        gaps = stage_survival_gap(model, t_axis[:, None], ta_axis[None, :]).gap
-        for (i, j), gap in np.ndenumerate(gaps):
-            a_min, a_max = alpha_extrema(model, float(t_axis[i]), float(ta_axis[j]))
-            if not math.isfinite(a_min):
-                continue
-            checked += 1
-            if a_min >= 2.0 and gap < -1e-9:
-                violations += 1
-            if a_max < 2.0 and gap >= 1e-9:
-                violations += 1
+        t, ta = np.linspace(0.05, t_hi, 15)[:, None], np.linspace(0.0, t_hi, 15)
+        gaps = stage_survival_gap(model, t, ta).gap
+        a_min, a_max = alpha_extrema(model, t, ta)
+        classified = np.isfinite(a_min)
+        wrong = ((a_min >= 2.0) & (gaps < -1e-9)) | ((a_max < 2.0) & (gaps >= 1e-9))
+        checked += int(np.count_nonzero(classified))
+        violations += int(np.count_nonzero(classified & wrong))
     return CheckResult("analysis", "stage_gap_hazard_ratio_threshold",
                        violations == 0,
                        f"{violations} violations over {checked} classified points")
@@ -177,16 +190,12 @@ def _check_hazard_ratio_threshold() -> CheckResult:
 
 def _check_conditional_survival_monotone() -> CheckResult:
     worst = 0.0
+    ta, t = np.linspace(0.0, 4.0, 50), np.array([[0.3], [1.0], [2.5]])
     for k in (0.3, 0.5, 0.8):
-        model = ParallelTwoModel(Weibull(k, 1.0))
-        for t in (0.3, 1.0, 2.5):
-            ta_grid = np.linspace(0.0, 4.0, 50)
-            vals = [conditional_ict_survival(model, float(ta), t) for ta in ta_grid]
-            worst = min(worst, float(np.min(np.diff(vals))))
-    model = ParallelTwoModel(Exponential(1.3))
-    vals = [conditional_ict_survival(model, float(ta), 0.7)
-            for ta in np.linspace(0.0, 5.0, 50)]
-    spread = float(np.ptp(vals))
+        vals = conditional_ict_survival(ParallelTwoModel(Weibull(k, 1.0)), ta, t)
+        worst = min(worst, float(np.min(np.diff(vals, axis=1))))
+    spread = float(np.ptp(conditional_ict_survival(
+        ParallelTwoModel(Exponential(1.3)), np.linspace(0.0, 5.0, 50), 0.7)))
     ok = worst >= -1e-12 and spread <= 1e-12
     return CheckResult("analysis", "conditional_survival_monotone_in_Ta",
                        ok, f"min increment = {worst:.3e}, "
@@ -194,18 +203,15 @@ def _check_conditional_survival_monotone() -> CheckResult:
 
 
 def _check_uniform_regimes() -> CheckResult:
-    model = SerialTwoModel(Uniform(1.0), 0.5)
-    half = dependence_difference(model, 0.5)
-    five_sixth = dependence_difference(model, 5.0 / 6.0)
-    mid = [dependence_difference(model, float(t))
-           for t in np.linspace(1.0, 1.999, 25)]
-    beyond = [abs(dependence_difference(model, float(t)))
-              for t in (2.0, 2.5, 3.0)]
+    diff = dependence_difference(SerialTwoModel(Uniform(1.0), 0.5), np.concatenate(
+        [[0.5, 5.0 / 6.0], np.linspace(1.0, 1.999, 25), [2.0, 2.5, 3.0]]))
+    half, five_sixth = diff[0], diff[1]
+    mid, beyond = diff[2:-3].max(), np.abs(diff[-3:]).max()
     ok = (abs(half - 0.0875) < 1e-9 and five_sixth < 0
-          and max(mid) <= 1e-9 and max(beyond) <= 1e-9)
+          and mid <= 1e-9 and beyond <= 1e-9)
     return CheckResult("analysis", "uniform_three_regimes",
                        ok, f"diff(v/2)={half:.6f}, diff(5v/6)={five_sixth:.6f}, "
-                           f"max mid={max(mid):.2e}, max beyond={max(beyond):.2e}")
+                           f"max mid={mid:.2e}, max beyond={beyond:.2e}")
 
 
 # ---------------------------------------------------------------- mc
@@ -256,17 +262,21 @@ def _check_determinism() -> CheckResult:
                        else "outputs differ between identical runs")
 
 
+def _cdf_z(draws: np.ndarray, taus: np.ndarray, cdf: np.ndarray) -> float:
+    """max over ``taus`` of |empirical - ``cdf``| / (3 sigma) for ``draws``."""
+    emp = np.array([np.mean(draws <= tau) for tau in taus])
+    sigma = np.sqrt(np.maximum(cdf * (1 - cdf), 1e-12) / draws.size)
+    return float(np.max(np.abs(emp - cdf) / (3.0 * sigma)))
+
+
 def _check_serial_marginals() -> CheckResult:
     worst = 0.0
     for dist in (Weibull(1.7, 2.0), Exponential(1.0), Uniform(2.0)):
         model = SerialTwoModel(dist, 0.35)
         trials = mc.simulate_serial(model, 1_000_000, 1234)
-        for q in np.linspace(0.08, 0.95, 10):
-            tau = float(dist.quantile(float(q))) * 1.5
-            analytic = marginal_completion_cdf(model, "a", tau)
-            emp = float(np.mean(trials.total_a <= tau))
-            sigma = math.sqrt(max(analytic * (1 - analytic), 1e-12) / len(trials))
-            worst = max(worst, abs(emp - analytic) / (3.0 * sigma))
+        taus = dist.quantile(np.linspace(0.08, 0.95, 10)) * 1.5
+        worst = max(worst, _cdf_z(trials.total_a, taus,
+                                  marginal_completion_cdf(model, "a", taus)))
     return CheckResult("mc", "serial_marginal_matches_analytic",
                        worst <= 1.0, f"max |emp - analytic| = {worst:.2f} x its "
                                      "3-sigma bound over 3 families x 10 points")
@@ -297,14 +307,9 @@ def _check_fixed_order_covariance() -> CheckResult:
 def _check_conv_mc_oracle() -> CheckResult:
     worst = 0.0
     for dist in (Weibull(0.7, 1.0), Exponential(2.0), Uniform(1.5)):
-        draws = mc.sample_iid(dist, 1_000_000, 2, 55)
-        sums = draws[:, 0] + draws[:, 1]
-        for q in np.linspace(0.1, 0.9, 10):
-            tau = 2.0 * float(dist.quantile(float(q)))
-            analytic = convolve_cdf(dist, tau)
-            emp = float(np.mean(sums <= tau))
-            sigma = math.sqrt(max(analytic * (1 - analytic), 1e-12) / len(sums))
-            worst = max(worst, abs(emp - analytic) / (3.0 * sigma))
+        sums = np.add(*mc.sample_iid(dist, 1_000_000, 2, 55).T)  # z1 + z2
+        taus = 2.0 * dist.quantile(np.linspace(0.1, 0.9, 10))
+        worst = max(worst, _cdf_z(sums, taus, convolve_cdf(dist, taus)))
     return CheckResult("mc", "convolution_matches_simulation",
                        worst <= 1.0, f"max |emp - conv| = {worst:.2f} x its "
                                      "3-sigma bound")

@@ -202,6 +202,11 @@ class TestTheorem1:
         assert code == 1
         assert "--n" in err
 
+    def test_negative_seed_usage_error(self, capsys):
+        code, out, err = run(["theorem1", "--n", "10", "--seed", "-1"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "--seed must be >= 0, got -1\n"
+
 
 class TestDependence:
     def test_exponential_all_positive(self, capsys):
@@ -336,6 +341,13 @@ class TestSimulate:
     def test_missing_dist_usage_error(self, capsys):
         code, _, err = run(["simulate", "serial", "--n", "5"], capsys)
         assert code == 1 and "--dist" in err
+
+    @pytest.mark.parametrize("arch", ["serial", "recall-parallel"])
+    def test_negative_seed_usage_error(self, arch, capsys):
+        code, out, err = run(["simulate", arch, "--dist", "exp:u=1", "--rates",
+                              "1,2", "--n", "3", "--seed", "-5"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "--seed must be >= 0, got -5\n"
 
 
 class TestFit:

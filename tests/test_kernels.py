@@ -18,7 +18,7 @@ nearest double:
   Cross-check: the split form F(tau/2)^2 + 2 int_{tau/2}^tau.
 
 Each primary recipe agrees with its cross-check to 7e-15.  The exponential
-and uniform cells go through the quadrature with ``force_numeric=True``.
+and uniform cells reach the quadrature through ``quadrature_path``.
 """
 
 import math
@@ -83,6 +83,30 @@ FALSE_CONVERGENCE_CELL = (2.0, 1.5555555555555556, 2.126969696969697)
 FALSE_CONVERGENCE_ORACLE = 0.9825965140295506
 
 
+class PdfCdfOnly(ProcessingTimeDistribution):
+    """A distribution seen only through its pdf, cdf and breakpoints."""
+
+    def __init__(self, dist: ProcessingTimeDistribution):
+        self.dist = dist
+
+    def pdf(self, t):
+        return self.dist.pdf(t)
+
+    def cdf(self, t):
+        return self.dist.cdf(t)
+
+    def breakpoints(self):
+        return self.dist.breakpoints()
+
+
+def quadrature_path(dist):
+    """``dist`` on the quadrature path: Weibull(1, u) for an exponential,
+    a pdf/cdf-only view of a uniform, a Weibull as it is."""
+    if isinstance(dist, Exponential):
+        return Weibull(1.0, dist.u)
+    return PdfCdfOnly(dist) if isinstance(dist, Uniform) else dist
+
+
 class LogLogistic(ProcessingTimeDistribution):
     """A user distribution with only pdf and cdf (no closed-form sum)."""
 
@@ -113,13 +137,13 @@ def test_weibull_false_convergence_regression():
 
 @pytest.mark.parametrize("u, tau", sorted(EXPONENTIAL_ORACLE))
 def test_exponential_numeric_path_matches_oracle(u, tau):
-    got = convolve_cdf(Exponential(u), tau, force_numeric=True)
+    got = convolve_cdf(quadrature_path(Exponential(u)), tau)
     assert abs(got - EXPONENTIAL_ORACLE[(u, tau)]) <= ORACLE_TOL
 
 
 @pytest.mark.parametrize("v, tau", sorted(UNIFORM_ORACLE))
 def test_uniform_numeric_path_matches_oracle(v, tau):
-    got = convolve_cdf(Uniform(v), tau, force_numeric=True)
+    got = convolve_cdf(quadrature_path(Uniform(v)), tau)
     assert abs(got - UNIFORM_ORACLE[(v, tau)]) <= ORACLE_TOL
 
 
@@ -215,7 +239,7 @@ BOUND_SLACK = 1e-14
 def test_convolution_between_half_and_full_square(dist, tau, numeric):
     # both draws are nonnegative, so {z1, z2 <= tau/2} is inside
     # {z1 + z2 <= tau}, which is inside {z1, z2 <= tau}
-    conv = convolve_cdf(dist, tau, force_numeric=numeric)
+    conv = convolve_cdf(quadrature_path(dist) if numeric else dist, tau)
     lower = float(dist.cdf(0.5 * tau)) ** 2
     upper = float(dist.cdf(tau)) ** 2
     assert lower - BOUND_SLACK <= conv <= upper + BOUND_SLACK
@@ -224,7 +248,7 @@ def test_convolution_between_half_and_full_square(dist, tau, numeric):
 @pytest.mark.parametrize("dist", [Exponential(1.0), Weibull(1.5, 1.0), Uniform(2.0)])
 def test_smallest_subnormal_tau_gives_zero(dist):
     # tau/2 rounds to 0 there, which once made the split-form tolerance nan
-    assert convolve_cdf(dist, 5e-324, force_numeric=True) == 0.0
+    assert convolve_cdf(quadrature_path(dist), 5e-324) == 0.0
 
 
 @pytest.mark.parametrize("u", [0.3, 1.0, 4.0])

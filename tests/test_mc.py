@@ -37,6 +37,12 @@ class TestRngContract:
         with pytest.raises(DomainError):
             list(mc.uniform_blocks(1, 0, 2))
 
+    def test_negative_seed_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
+            list(mc.uniform_blocks(-1, 5, 2))
+        with pytest.raises(DomainError):
+            mc.simulate_serial(SerialTwoModel(Exponential(1.0), 0.5), 3, -5)
+
 
 class TestTheorem1:
     def test_fraction_near_62_percent(self):

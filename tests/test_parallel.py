@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,8 @@ class TestConditionalIctSurvival:
         model = ParallelTwoModel(Uniform(2.0))
         with pytest.raises(ConditioningError):
             conditional_ict_survival(model, 2.0, 0.1)
+        with pytest.raises(ConditioningError):  # H(T_a) overflows to inf
+            conditional_ict_survival(ParallelTwoModel(Weibull(2.0, 1.0)), 1e200, 1.0)
 
     def test_monotone_in_t_a_for_decreasing_hazard(self):
         for k in (0.3, 0.5, 0.8):
@@ -84,6 +87,14 @@ class TestConditionalIctSurvival:
                 vals = [conditional_ict_survival(model, float(ta), t)
                         for ta in grid]
                 assert np.all(np.diff(vals) >= -1e-12), (k, t)
+
+    def test_far_tail_where_survival_underflows(self):
+        # S(T_a) rounds to 0 here, but H(T_a + t) - H(T_a) is exact
+        assert conditional_ict_survival(
+            ParallelTwoModel(Exponential(1.0)), 800.0, 0.5) == math.exp(-0.5)
+        assert conditional_ict_survival(
+            ParallelTwoModel(Weibull(0.5, 1.0)), 1e6, 0.5) == math.exp(
+                -(math.sqrt(1e6 + 0.5) - 1e3))
 
     def test_non_increasing_in_t(self):
         model = ParallelTwoModel(Weibull(1.7, 0.8))
@@ -152,6 +163,18 @@ class TestAlpha:
         a_min, a_max = alpha_extrema(model, 1.0, 1.0)
         assert a_min == pytest.approx(2.0, abs=1e-9)
         assert a_max > 100.0  # alpha diverges toward s -> 0
+
+    @pytest.mark.parametrize("t, t_a", [(1.0, -0.5), (-1.0, 1.0),
+                                        (math.nan, 1.0), (1.0, math.inf)])
+    def test_extrema_invalid_cell_rejected(self, t, t_a):
+        model = ParallelTwoModel(Weibull(2.0, 1.0))
+        with pytest.raises(DomainError, match=re.escape(f"t={t!r}, T_a={t_a!r}")):
+            alpha_extrema(model, t, t_a)
+
+    def test_extrema_undefined_at_t_zero(self):
+        for dist in (Exponential(1.0), Weibull(2.0, 1.0)):
+            a_min, a_max = alpha_extrema(ParallelTwoModel(dist), 0.0, 1.0)
+            assert math.isnan(a_min) and math.isnan(a_max)
 
     def test_extrema_call_no_scalar_hazard(self):
         # h(0) is looked up only for cells at exactly 0; the samples are > 0
@@ -321,6 +344,10 @@ class TestArrayPath:
         res = stage_survival_gap(model, 0.5, 1.0)
         assert type(res.gap) is float and type(res.expr4) is float
         assert type(hazard_ratio_alpha(model, 0.5, 1.0)) is float
+        assert type(conditional_ict_survival(model, 1.0, 0.5)) is float
+        assert ict_survival_trend(model, 1.0, 0.5) == "negative"
+        assert [type(a) for a in alpha_extrema(model, 0.5, 1.0)] == [float, float]
+        assert type(parallel_dependence_difference(model, 0.5)) is float
 
     def test_array_errors_name_first_cell(self):
         model = ParallelTwoModel(Weibull(2.0, 1.0))
@@ -328,6 +355,43 @@ class TestArrayPath:
             stage_survival_gap(model, [1.0, -1.0, -2.0], 2.0)
         with pytest.raises(DomainError, match="t=0.0, T_a=1.0"):
             hazard_ratio_alpha(model, [1.0, 0.0], 1.0)
+        model = ParallelTwoModel(Uniform(2.0))
+        with pytest.raises(ConditioningError, match=r"t=0\.1, T_a=2\.0"):
+            conditional_ict_survival(model, [1.0, 2.0, 3.0], 0.1)
+        with pytest.raises(DomainError, match=r"t=0\.5, T_a=1\.5"):
+            ict_survival_trend(model, [0.5, 1.5, 1.9], 0.5)
+        with pytest.raises(DomainError, match=r"t=-1\.0, T_a=0\.5"):
+            alpha_extrema(model, [[1.0, -1.0], [-2.0, 1.0]], 0.5)
+        with pytest.raises(DomainError, match=r"tau=-1\.0"):
+            parallel_dependence_difference(model, [1.0, 0.0, -1.0, -2.0])
+        with pytest.raises(ConditioningError, match=r"tau=0\.0"):
+            parallel_dependence_difference(model, [1.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("dist,hi", [(Weibull(2.0, 1.0), 10.0),
+                                         (Weibull(0.5, 1.0), 4.0),
+                                         (Uniform(2.0), 1.0),
+                                         (ExpOnlyPdfCdf(), 10.0)])
+    def test_four_functionals_bitwise(self, dist, hi):
+        model = ParallelTwoModel(dist)
+        t = np.linspace(0.0, hi, 11)
+        ta = np.linspace(0.05, 0.9 * hi, 9)  # hazards defined at T_a, T_a + t
+        grid = t[:, None], ta[None, :]
+        cond = conditional_ict_survival(model, grid[1], grid[0])
+        assert cond.shape == (11, 9)
+        assert np.array_equal(cond, _per_cell(
+            lambda x, y: conditional_ict_survival(model, y, x), t, ta))
+        trend = ict_survival_trend(model, grid[1], grid[0])
+        assert np.array_equal(trend, _per_cell(
+            lambda x, y: ict_survival_trend(model, y, x), t, ta))
+        a_min, a_max = alpha_extrema(model, *grid)
+        pairs = [[alpha_extrema(model, x, y) for y in ta] for x in t.tolist()]
+        assert np.array_equal(np.stack([a_min, a_max], axis=-1), pairs,
+                              equal_nan=True)
+        tau = t[1:, None] * ta  # positive, so the conditioning event is not null
+        diff = parallel_dependence_difference(model, tau)
+        assert diff.shape == (10, 9)
+        assert np.array_equal(diff, _per_cell(
+            lambda x, y: parallel_dependence_difference(model, x * y), t[1:], ta))
 
 
 class TestStageGrid:
