@@ -313,7 +313,7 @@ def _parse_rates(raw: str | None) -> tuple[float, ...]:
 
 
 def _cmd_simulate(args) -> int:
-    from . import mc
+    from . import mc, traces
 
     seed = mc.DEFAULT_SEED if args.seed is None else args.seed
     if args.arch in ("serial", "parallel"):
@@ -322,19 +322,17 @@ def _cmd_simulate(args) -> int:
         dist = _parse_dist(args.dist)
         if args.arch == "serial":
             from .serial import SerialTwoModel
-            trials = mc.simulate_serial(SerialTwoModel(dist, args.p),
-                                        args.n, seed)
+            table = traces.serial(SerialTwoModel(dist, args.p), args.n, seed)
         else:
             from .parallel import ParallelTwoModel
-            trials = mc.simulate_parallel(ParallelTwoModel(dist), args.n, seed)
-        return _write_table(args, trials)
-
-    from . import recall
-
-    model = recall.RecallModel(_parse_rates(args.rates))
-    sampler = (recall.sample_vu_serial if args.arch == "recall-serial"
-               else recall.sample_parallel_expo)
-    return _write_table(args, sampler(model, args.n, seed))
+            table = traces.parallel(ParallelTwoModel(dist), args.n, seed)
+    else:
+        from .recall import RecallModel
+        model = RecallModel(_parse_rates(args.rates))
+        table = (traces.recall_serial if args.arch == "recall-serial"
+                 else traces.recall_parallel)(model, args.n, seed)
+    table.write(_open_out(args.out), None if args.format == "csv" else {})
+    return 0
 
 
 def _read_times(path: str) -> np.ndarray:

@@ -10,13 +10,21 @@ offset.  Blocks can therefore be generated in any order, and the output
 for a given ``(seed, n)`` is bitwise identical however they are scheduled.
 Family sampling is inverse-CDF through the closed-form quantiles, so the
 same uniforms drive every family.
+
+A block may be drawn in row slices of any sizes: numpy's Philox keeps its
+position between calls, so ``random((m1, d))`` then ``random((m2, d))``
+gives the rows of one ``random((m1 + m2, d))`` draw, bit for bit.  So the
+whole-run samplers, which draw a block at a time, and the streamed traces
+of :mod:`archlab.traces`, which draw a chunk of trials at a time, run the
+same per-slice code on the same uniforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -49,23 +57,33 @@ class RngState:
 
 
 def uniform_blocks(seed: int, n_trials: int, draws_per_trial: int,
-                   out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start_index, uniforms[block_len, draws_per_trial]) blocks.
+                   rows: int = BLOCK_TRIALS) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start_index, uniforms[m, draws_per_trial]) slices of at most
+    ``rows`` trials, block after block.
 
-    With ``out``, a C-contiguous (min(n_trials, BLOCK_TRIALS),
-    draws_per_trial) float array, every block is drawn into its leading
-    rows, so a block must be used before the next one is drawn; the draws
-    are the same either way."""
+    Every slice is drawn into one buffer, so a slice must be used before
+    the next one is drawn; the draws are those of one draw per block
+    whatever ``rows`` is (see the module docstring)."""
     if n_trials < 1:
         raise DomainError(f"n_trials must be >= 1, got {n_trials}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
-    for block in range(0, (n_trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS):
-        start = block * BLOCK_TRIALS
-        length = min(BLOCK_TRIALS, n_trials - start)
-        gen = RngState(seed, block).generator()
-        yield start, (gen.random((length, draws_per_trial)) if out is None
-                      else gen.random(out=out[:length]))
+    step = min(n_trials, rows, BLOCK_TRIALS)
+    buf = np.empty((step, draws_per_trial))
+    for start in range(0, n_trials, BLOCK_TRIALS):
+        gen = RngState(seed, start // BLOCK_TRIALS).generator()
+        stop = min(start + BLOCK_TRIALS, n_trials)
+        for lo in range(start, stop, step):
+            yield lo, gen.random(out=buf[:min(step, stop - lo)])
+
+
+def sample_into(fill: Callable[..., None], draws_per_trial: int,
+                arrays: tuple[np.ndarray, ...], seed: int) -> None:
+    """Sample every trial of ``arrays`` (one row per trial) in place: each
+    block of uniforms ``u`` goes to ``fill(u, *views)``, the views being
+    the arrays' rows of the block's trials."""
+    for start, u in uniform_blocks(seed, len(arrays[0]), draws_per_trial):
+        fill(u, *(a[start:start + len(u)] for a in arrays))
 
 
 def sample_iid(dist: "ProcessingTimeDistribution", n_trials: int,
@@ -95,13 +113,40 @@ class Trials:
 
     columns = ("trial", "order", "t1", "t2", "total_a", "total_b")
 
-    def table(self) -> tuple[np.ndarray, ...]:
-        """The ``columns``; ``order`` is a fixed-width bytes column."""
-        return (np.arange(len(self)), _ORDERS.take(self.order_b_first.view(np.uint8)),
+    def table(self, start: int = 0) -> tuple[np.ndarray, ...]:
+        """The ``columns``, trials numbered from ``start``; ``order`` is a
+        fixed-width bytes column."""
+        return (np.arange(start, start + len(self)),
+                _ORDERS.take(self.order_b_first.view(np.uint8)),
                 self.t1, self.t2, self.total_a, self.total_b)
 
     def to_csv(self, out) -> None:
         write_table(out, self.columns, self.table())
+
+
+def _new_trials(n_trials: int) -> tuple[np.ndarray, ...]:
+    """The arrays of a :class:`Trials` of ``n_trials`` trials, in field order."""
+    return (np.empty(n_trials, dtype=bool), *(np.empty(n_trials) for _ in range(4)))
+
+
+def _serial_fill(model: "SerialTwoModel", u, b_first, t1, t2, total_a,
+                 total_b) -> None:
+    b_first[...] = u[:, 0] >= model.p
+    z_a = np.asarray(model.dist.quantile(u[:, 1]))
+    z_b = np.asarray(model.dist.quantile(u[:, 2]))
+    t1[...] = np.where(b_first, z_b, z_a)
+    t2[...] = np.where(b_first, z_a, z_b)
+    total_a[...] = np.where(b_first, z_a + z_b, z_a)
+    total_b[...] = np.where(b_first, z_b, z_a + z_b)
+
+
+def _parallel_fill(model: "ParallelTwoModel", u, b_first, t1, t2, total_a,
+                   total_b) -> None:
+    total_a[...] = model.dist.quantile(u[:, 0])
+    total_b[...] = model.dist.quantile(u[:, 1])
+    np.less(total_b, total_a, out=b_first)
+    np.minimum(total_a, total_b, out=t1)
+    np.subtract(np.maximum(total_a, total_b), t1, out=t2)
 
 
 def simulate_serial(model: "SerialTwoModel", n_trials: int, seed: int) -> Trials:
@@ -111,46 +156,16 @@ def simulate_serial(model: "SerialTwoModel", n_trials: int, seed: int) -> Trials
     two more drive the iid stage draws.  With a first: totals are
     (z_a, z_a + z_b); with b first: (z_a + z_b, z_b).
     """
-    order = np.empty(n_trials, dtype=bool)
-    t1 = np.empty(n_trials, dtype=float)
-    t2 = np.empty(n_trials, dtype=float)
-    total_a = np.empty(n_trials, dtype=float)
-    total_b = np.empty(n_trials, dtype=float)
-    for start, u in uniform_blocks(seed, n_trials, 3):
-        sl = slice(start, start + u.shape[0])
-        b_first = u[:, 0] >= model.p
-        z_a = np.asarray(model.dist.quantile(u[:, 1]))
-        z_b = np.asarray(model.dist.quantile(u[:, 2]))
-        order[sl] = b_first
-        t1[sl] = np.where(b_first, z_b, z_a)
-        t2[sl] = np.where(b_first, z_a, z_b)
-        total_a[sl] = np.where(b_first, z_a + z_b, z_a)
-        total_b[sl] = np.where(b_first, z_b, z_a + z_b)
-    return Trials(order_b_first=order, t1=t1, t2=t2,
-                  total_a=total_a, total_b=total_b)
+    arrays = _new_trials(n_trials)
+    sample_into(partial(_serial_fill, model), 3, arrays, seed)
+    return Trials(*arrays)
 
 
 def simulate_parallel(model: "ParallelTwoModel", n_trials: int, seed: int) -> Trials:
     """Simulate the two-channel race; order set by comparison, ties to a."""
-    order = np.empty(n_trials, dtype=bool)
-    t1 = np.empty(n_trials, dtype=float)
-    t2 = np.empty(n_trials, dtype=float)
-    total_a = np.empty(n_trials, dtype=float)
-    total_b = np.empty(n_trials, dtype=float)
-    for start, u in uniform_blocks(seed, n_trials, 2):
-        sl = slice(start, start + u.shape[0])
-        z_a = np.asarray(model.dist.quantile(u[:, 0]))
-        z_b = np.asarray(model.dist.quantile(u[:, 1]))
-        b_first = z_b < z_a
-        lo = np.minimum(z_a, z_b)
-        hi = np.maximum(z_a, z_b)
-        order[sl] = b_first
-        t1[sl] = lo
-        t2[sl] = hi - lo
-        total_a[sl] = z_a
-        total_b[sl] = z_b
-    return Trials(order_b_first=order, t1=t1, t2=t2,
-                  total_a=total_a, total_b=total_b)
+    arrays = _new_trials(n_trials)
+    sample_into(partial(_parallel_fill, model), 2, arrays, seed)
+    return Trials(*arrays)
 
 
 @dataclass(frozen=True)
@@ -193,12 +208,11 @@ def run_theorem1_mc(n_samples: int, seed: int) -> Theorem1Result:
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     m = min(n_samples, BLOCK_TRIALS)
-    u = np.empty((m, 2))
     work = np.empty((4, m))
     flags = np.empty((2, m), dtype=bool)
     n_cond = 0
     n_pos = 0
-    for _, block in uniform_blocks(seed, n_samples, 2, out=u):
+    for _, block in uniform_blocks(seed, n_samples, 2):
         kept, positive = _sign_counts(block, work, flags)
         n_cond += kept
         n_pos += positive

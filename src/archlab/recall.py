@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .mc import uniform_blocks
+from .mc import sample_into
 from .numerics import write_table
 
 _K_LO = 0.05
@@ -129,11 +130,11 @@ class RecallTrials:
 
     columns = ("trial", "position", "item", "ict", "cumulative_time")
 
-    def table(self) -> tuple[np.ndarray, ...]:
+    def table(self, start: int = 0) -> tuple[np.ndarray, ...]:
         """The ``columns`` in long format: one row per (trial, stage), with
-        1-based positions."""
+        trials numbered from ``start`` and 1-based positions."""
         n_trials, n = self.orders.shape
-        return (np.repeat(np.arange(n_trials), n),
+        return (np.repeat(np.arange(start, start + n_trials), n),
                 np.tile(np.arange(1, n + 1), n_trials), self.orders.reshape(-1),
                 self.icts.reshape(-1), self.totals().reshape(-1))
 
@@ -141,44 +142,49 @@ class RecallTrials:
         write_table(out, self.columns, self.table())
 
 
-def sample_vu_serial(model: RecallModel, n_trials: int, seed: int) -> RecallTrials:
-    """Simulate the serial search directly, stage by stage."""
+def _new_trials(n_trials: int, n_items: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (orders, icts) arrays of a :class:`RecallTrials`."""
+    return (np.empty((n_trials, n_items), dtype=np.int64),
+            np.empty((n_trials, n_items)))
+
+
+def _vu_serial_fill(model: RecallModel, u, orders, icts) -> None:
     n = model.n
     rates = np.asarray(model.rates)
-    orders = np.empty((n_trials, n), dtype=np.int64)
-    icts = np.empty((n_trials, n), dtype=float)
-    for start, u in uniform_blocks(seed, n_trials, 2 * n):
-        blen = u.shape[0]
-        rows = np.arange(blen)
-        mask = np.ones((blen, n), dtype=bool)
-        for j in range(n):
-            masked = np.where(mask, rates[None, :], 0.0)
-            cum = np.cumsum(masked, axis=1)
-            total = cum[:, -1]
-            target = u[:, 2 * j] * total
-            idx = (cum <= target[:, None]).sum(axis=1)
-            np.minimum(idx, n - 1, out=idx)  # guards the u ~ 1 rounding edge
-            duration = -np.log1p(-u[:, 2 * j + 1]) / total
-            orders[start:start + blen, j] = idx
-            icts[start:start + blen, j] = duration
-            mask[rows, idx] = False
-    return RecallTrials(orders=orders, icts=icts)
+    blen = u.shape[0]
+    rows = np.arange(blen)
+    mask = np.ones((blen, n), dtype=bool)
+    for j in range(n):
+        masked = np.where(mask, rates[None, :], 0.0)
+        cum = np.cumsum(masked, axis=1)
+        total = cum[:, -1]
+        target = u[:, 2 * j] * total
+        idx = (cum <= target[:, None]).sum(axis=1)
+        np.minimum(idx, n - 1, out=idx)  # guards the u ~ 1 rounding edge
+        orders[:, j] = idx
+        icts[:, j] = -np.log1p(-u[:, 2 * j + 1]) / total
+        mask[rows, idx] = False
+
+
+def _parallel_expo_fill(model: RecallModel, u, orders, icts) -> None:
+    z = -np.log1p(-u) / np.asarray(model.rates)[None, :]
+    orders[...] = np.argsort(z, axis=1, kind="stable")  # ties -> lower index
+    icts[...] = np.diff(np.take_along_axis(z, orders, axis=1), axis=1,
+                        prepend=0.0)
+
+
+def sample_vu_serial(model: RecallModel, n_trials: int, seed: int) -> RecallTrials:
+    """Simulate the serial search directly, stage by stage."""
+    arrays = _new_trials(n_trials, model.n)
+    sample_into(partial(_vu_serial_fill, model), 2 * model.n, arrays, seed)
+    return RecallTrials(*arrays)
 
 
 def sample_parallel_expo(model: RecallModel, n_trials: int, seed: int) -> RecallTrials:
     """Simulate the matching parallel model: sort independent exponentials."""
-    n = model.n
-    rates = np.asarray(model.rates)
-    orders = np.empty((n_trials, n), dtype=np.int64)
-    icts = np.empty((n_trials, n), dtype=float)
-    for start, u in uniform_blocks(seed, n_trials, n):
-        z = -np.log1p(-u) / rates[None, :]
-        order = np.argsort(z, axis=1, kind="stable")  # ties -> lower index
-        z_sorted = np.take_along_axis(z, order, axis=1)
-        orders[start:start + u.shape[0]] = order
-        icts[start:start + u.shape[0]] = np.diff(z_sorted, axis=1,
-                                                 prepend=0.0)
-    return RecallTrials(orders=orders, icts=icts)
+    arrays = _new_trials(n_trials, model.n)
+    sample_into(partial(_parallel_expo_fill, model), model.n, arrays, seed)
+    return RecallTrials(*arrays)
 
 
 def rw_mean_ict(n: int, u: float, j: int, convention: str = "as_printed") -> float:

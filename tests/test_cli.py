@@ -1,16 +1,21 @@
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from archlab import cli, mc
-from archlab.distributions import Exponential
+from archlab import cli, mc, recall
+from archlab.distributions import Exponential, parse_spec
 from archlab.errors import DomainError
-from archlab.numerics import convolve_cdf, fmt17
+from archlab.numerics import convolve_cdf, fmt17, write_table
+from archlab.parallel import ParallelTwoModel
+from archlab.serial import SerialTwoModel
 
 
 def run(argv, capsys):
@@ -350,6 +355,79 @@ class TestSimulate:
         assert err == "--seed must be >= 0, got -5\n"
 
 
+_B = mc.BLOCK_TRIALS
+
+# (id, arch, flags, the whole-run sampler for n trials and a seed)
+_SIMULATIONS = [
+    ("serial", "serial", ["--dist", "weibull:k=0.7,u=1", "--p", "0.3"],
+     lambda n, seed: mc.simulate_serial(
+         SerialTwoModel(parse_spec("weibull:k=0.7,u=1"), 0.3), n, seed)),
+    ("parallel", "parallel", ["--dist", "uniform:v=2"],
+     lambda n, seed: mc.simulate_parallel(
+         ParallelTwoModel(parse_spec("uniform:v=2")), n, seed)),
+] + [
+    (f"{arch}-{len(rates)}", arch, ["--rates", ",".join(map(str, rates))],
+     lambda n, seed, sampler=sampler, rates=rates: sampler(
+         recall.RecallModel(rates), n, seed))
+    for arch, sampler in (("recall-serial", recall.sample_vu_serial),
+                          ("recall-parallel", recall.sample_parallel_expo))
+    for rates in ((2.0, 1.0, 0.5), (1.0, 2.0, 3.0, 4.0, 5.0))  # 3 and 5 items
+]
+
+
+class TestStreamedSimulate:
+    """``simulate`` samples and writes a chunk of trials at a time; its
+    bytes are those of writing the whole run's table at once.  Runs of more
+    than two chunks are compared as CSV only, and recall runs of 5 items
+    only up to two chunks of trials: past its first row, a JSON row is
+    planned and written as a CSV row is, and the shorter runs cover both
+    formats and both item counts across chunk seams."""
+
+    CASES = [(case, n) for case in _SIMULATIONS
+             for n in [1, 1023, 1025, _B - 1, _B + 1, 2 * _B + 9]
+             if n < 2048 or not case[0].endswith("-5")]
+
+    @pytest.mark.parametrize("arch, flags, whole_run, n",
+                             [(*case[1:], n) for case, n in CASES],
+                             ids=[f"{case[0]}-{n}" for case, n in CASES])
+    def test_bytes_equal_the_whole_run_table(self, arch, flags, whole_run, n,
+                                             tmp_path):
+        trials = whole_run(n, 19)
+        for fmt, head in (("csv", None), ("json", {}))[:1 + (n < 2048)]:
+            want = io.StringIO()
+            write_table(want, trials.columns, trials.table(), head)
+            out = tmp_path / f"trace.{fmt}"
+            assert cli.main(["simulate", arch, *flags, "--n", str(n), "--seed",
+                             "19", "--format", fmt, "--out", str(out)]) == 0
+            assert out.read_bytes() == want.getvalue().encode()
+
+    @pytest.mark.parametrize("arch, flags", [
+        ("serial", ["--dist", "weibull:k=0.7,u=1"]),
+        ("recall-serial", ["--rates", "1,2,3"]),
+    ], ids=["serial", "recall-serial"])
+    def test_memory_does_not_grow_with_n(self, arch, flags):
+        # The tracemalloc peak of a whole command above what it leaves
+        # allocated, after a first run has made the writer's tables.
+        # CPython keeps freed tuples for reuse, up to 2000 of each length,
+        # and tracemalloc counts them as allocated; each chunk leaves about
+        # one more, so what is left at the end grows with n up to that cap,
+        # while a whole-run table grows by about 2 MB a block.
+        def peak(n: int) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert cli.main(["simulate", arch, *flags, "--n", str(n),
+                                 "--out", os.devnull]) == 0
+                left, top = tracemalloc.get_traced_memory()
+                return top - left
+            finally:
+                tracemalloc.stop()
+
+        peak(_B)
+        one, four = peak(_B), peak(4 * _B)
+        assert abs(four - one) <= 64 * 1024, (one, four)
+
+
 class TestFit:
     def _write_times(self, path, values):
         path.write_text("time\n" + "\n".join(str(v) for v in values) + "\n")
@@ -405,12 +483,25 @@ def test_unwritable_out_fails_before_computing(tmp_path, capsys):
     assert err.startswith("--out: [Errno 2] ")
 
 
-def test_failing_command_leaves_out_untouched(tmp_path, capsys):
+def test_failing_command_leaves_out_untouched(tmp_path, capsys, monkeypatch):
     keep = tmp_path / "keep.csv"
     keep.write_bytes(b"earlier,bytes\n1,2\n")
     code, out, err = run(["figure", "fig4", "--k", "-1", "--out", str(keep)], capsys)
     assert code == 2 and out == "" and "k must be positive" in err
     assert keep.read_bytes() == b"earlier,bytes\n1,2\n"
+
+    # simulate samples its first chunk before it empties the file
+    def failing_draw(*args):
+        raise DomainError("first chunk failed")
+
+    monkeypatch.setattr(mc, "_parallel_fill", failing_draw)
+    for argv, message in (
+            (["serial", "--dist", "exp:u=1", "--p", "1.5"], "p must be"),
+            (["recall-serial", "--rates", "1,-2"], "rates must be positive"),
+            (["parallel", "--dist", "exp:u=1"], "first chunk failed")):
+        code, out, err = run(["simulate", *argv, "--out", str(keep)], capsys)
+        assert code == 2 and out == "" and message in err, err
+        assert keep.read_bytes() == b"earlier,bytes\n1,2\n"
     # and a file that did not exist is not left behind
     new = tmp_path / "new.csv"
     code, _, _ = run(["figure", "fig4", "--k", "-1", "--out", str(new)], capsys)

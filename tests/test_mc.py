@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from archlab import mc
+from archlab import mc, recall, traces
 from archlab.distributions import Exponential, Uniform, Weibull
 from archlab.errors import ConditioningError, DomainError, McError
-from archlab.numerics import convolve_cdf
+from archlab.numerics import _CHUNK_ROWS, convolve_cdf
 from archlab.parallel import ParallelTwoModel
+from archlab.recall import RecallModel
 from archlab.serial import SerialTwoModel, marginal_completion_cdf
 
 
 class TestRngContract:
+    B = mc.BLOCK_TRIALS
+
     def test_same_state_same_stream(self):
         a = mc.RngState(123, 4).generator().random(1000)
         b = mc.RngState(123, 4).generator().random(1000)
@@ -32,6 +35,28 @@ class TestRngContract:
         assert np.array_equal(long.total_a[:mc.BLOCK_TRIALS], short.total_a)
         assert np.array_equal(long.order_b_first[:mc.BLOCK_TRIALS],
                               short.order_b_first)
+
+    @pytest.mark.parametrize("rows", [1, 1000, B])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 9])
+    def test_row_slices_match_one_draw_per_block(self, n, rows):
+        # block b is one random((len, d)) draw of the stream (seed, b),
+        # however many slices it is drawn in
+        d = 3
+        want = np.concatenate([
+            mc.RngState(5, b).generator().random((min(self.B, n - start), d))
+            for b, start in enumerate(range(0, n, self.B))])
+        got, slices, buffers = np.empty((n, d)), [], set()
+        for start, u in mc.uniform_blocks(5, n, d, rows):
+            got[start:start + len(u)] = u
+            slices.append((start, len(u)))
+            buffers.add(id(u.base))
+        assert np.array_equal(got, want)
+        start, length = np.array(slices).T
+        assert np.array_equal(start, np.cumsum(length) - length)
+        assert start[-1] + length[-1] == n
+        assert ((1 <= length) & (length <= rows)).all()
+        assert np.array_equal(start // self.B, (start + length - 1) // self.B)
+        assert len(buffers) == 1  # every slice is drawn into the one buffer
 
     def test_n_trials_validation(self):
         with pytest.raises(DomainError):
@@ -129,14 +154,6 @@ class TestTheorem1InPlace:
         res = mc.run_theorem1_mc(n, seed)
         assert res.n_conditioned == kept
         assert res.fraction_positive == positive / kept
-
-    def test_blocks_drawn_into_a_buffer_match_fresh_draws(self):
-        buf = np.empty((self.B, 3))
-        for (s1, fresh), (s2, reused) in zip(
-                mc.uniform_blocks(5, 2 * self.B + 9, 3),
-                mc.uniform_blocks(5, 2 * self.B + 9, 3, out=buf)):
-            assert s1 == s2 and np.array_equal(fresh, reused)
-            assert np.shares_memory(reused, buf)
 
     def test_alpha_zero_is_excluded_without_a_warning(self):
         # alpha = 0 divides by zero (and 0 / 0 with u1 = 0) in the kernel;
@@ -301,3 +318,34 @@ class TestTraceCsv:
         assert order.dtype == np.dtype("S7")
         assert order.tolist() == [b"b_first" if b else b"a_first"
                                   for b in trials.order_b_first]
+
+
+class TestTraces:
+    MODELS = {"serial": SerialTwoModel(Exponential(1.0), 0.5),
+              "parallel": ParallelTwoModel(Uniform(2.0)),
+              "recall_serial": RecallModel((1.0, 2.0, 3.0)),
+              "recall_parallel": RecallModel((0.5, 1.0, 2.0, 4.0, 8.0))}
+
+    @pytest.mark.parametrize("arch", MODELS)
+    def test_chunks_are_writer_chunks_of_the_whole_table(self, arch):
+        # every chunk is one writer chunk or less, and together they are
+        # the whole-run table, trial index included
+        whole = {"serial": mc.simulate_serial, "parallel": mc.simulate_parallel,
+                 "recall_serial": recall.sample_vu_serial,
+                 "recall_parallel": recall.sample_parallel_expo}[arch]
+        n = 2 * traces.CHUNK_TRIALS + 3
+        trace = getattr(traces, arch)(self.MODELS[arch], n, 4)
+        chunks = list(trace)
+        assert all(0 < len(c[0]) <= _CHUNK_ROWS for c in chunks)
+        table = whole(self.MODELS[arch], n, 4).table()
+        assert trace.columns == whole(self.MODELS[arch], 1, 4).columns
+        for got, want in zip(zip(*chunks), table):
+            assert np.array_equal(np.concatenate(got), want)
+
+    @pytest.mark.parametrize("arch", MODELS)
+    def test_first_chunk_is_drawn_when_made(self, arch):
+        # so a bad size or seed raises before anything is written
+        with pytest.raises(DomainError, match="n_trials must be >= 1"):
+            getattr(traces, arch)(self.MODELS[arch], 0, 4)
+        with pytest.raises(DomainError, match="seed must be nonnegative"):
+            getattr(traces, arch)(self.MODELS[arch], 5, -1)
