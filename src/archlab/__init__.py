@@ -17,7 +17,7 @@ _EXPORTS = {
     "mc": ("DEFAULT_SEED", "RngState", "Theorem1Result", "Trials",
            "empirical_dependence", "run_theorem1_mc", "sample_iid",
            "simulate_parallel", "simulate_serial"),
-    "numerics": ("classify_sign", "convolve_cdf", "integrate"),
+    "numerics": ("classify_sign", "convolve_cdf"),
     "parallel": ("ParallelTwoModel", "StageGap", "StageSurvivalGrid",
                  "alpha_extrema", "classify_stage_trend",
                  "conditional_ict_survival", "hazard_ratio_alpha",
@@ -31,7 +31,7 @@ _EXPORTS = {
                "marginal_completion_cdf"),
 }
 _SUBMODULES = frozenset({"cli", "distributions", "errors", "mc", "numerics",
-                         "parallel", "recall", "serial", "verify"})
+                         "parallel", "recall", "serial", "traces", "verify"})
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"

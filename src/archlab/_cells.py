@@ -37,21 +37,19 @@ class Table:
     def __init__(self, names, csv: bool):
         self.names, self.csv = tuple(names), csv
         self._plans: dict = {}
-        self._known: dict = {}  # per label column: the labels already checked
 
     def format_chunk(self, cols) -> str:
         """The rows of the equal-length arrays ``cols`` as text."""
-        kinds = tuple("f" if c.dtype.kind == "f" else "i" if c.dtype.kind in "iu"
-                      else "s" for c in cols)
+        kinds = tuple(["f" if c.dtype.kind == "f" else "i" if c.dtype.kind in "iu"
+                       else "s" for c in cols])
         ints = [c for c, k in zip(cols, kinds) if k == "i"]
         width = 0
         if ints:
             mag, neg = _int_magnitudes(ints)
             digits = int(np.searchsorted(_POW10, mag.max(), side="right")) + 1
             width = (digits + (neg is not None) + 8) // 8  # and the lead byte
-        labels = [self._labels(j, c) for j, (c, k) in enumerate(zip(cols, kinds))
-                  if k == "s"]
-        key = (kinds, width, tuple(b.itemsize for b in labels))
+        labels = [_labels(c) for c, k in zip(cols, kinds) if k == "s"]
+        key = (kinds, width, tuple([b.itemsize for b in labels]))
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = _Plan(self.names, self.csv, *key)
@@ -73,28 +71,14 @@ class Table:
                 out[0] |= _U64(lead)
         return words.T.tobytes().translate(None, b"\0").decode("ascii")
 
-    def _labels(self, j: int, col: np.ndarray) -> np.ndarray:
-        """Label column j as fixed-width bytes, each label checked; a bytes
-        label of up to 8 bytes only the first time the table meets it."""
-        if col.dtype.kind != "S":
-            _check_labels(set(col.tolist()))
-            return col.astype("S")
-        if col.itemsize > 8:
-            _check_labels(np.unique(col).tolist())
-            return col
-        words = col.astype("S8").view(_U64)
-        known = self._known.setdefault(j, [])
-        if known:
-            seen = words == known[0]
-            for w in known[1:]:
-                seen |= words == w
-            words = words[~seen]
-        if words.size:
-            new = np.unique(words)
-            _check_labels(new.view("S8").tolist())
-            if len(known) + new.size <= 16:
-                known.extend(new)
-        return col
+
+def _labels(col: np.ndarray) -> np.ndarray:
+    """A label column as fixed-width bytes, each distinct label checked."""
+    if col.dtype.kind != "S":
+        _check_labels(set(col.tolist()))
+        return col.astype("S")
+    _check_labels(np.unique(col).tolist())
+    return col
 
 
 def _check_labels(values) -> None:

@@ -9,19 +9,18 @@ is computed in the equivalent split form
 never evaluated near the origin (where the Weibull density with k < 1
 diverges).  Closed forms are used for the exponential and uniform families.
 
-Every numerical integral, the convolution over a whole array of tau values
-included, goes through one adaptive Gauss-Kronrod G7/K15 rule
-(:func:`_gauss_kronrod`): each panel of every cell is evaluated at once,
-|K15 - G7| is the panel's error estimate, and only panels whose estimate
-exceeds their share of the tolerance are bisected.
+The convolution, over a whole array of tau values at once, is the only
+numerical integral, and it goes through one adaptive Gauss-Kronrod G7/K15
+rule (:func:`_gauss_kronrod`): each panel of every cell is evaluated at
+once, |K15 - G7| is the panel's error estimate, and only panels whose
+estimate exceeds their share of the tolerance are bisected.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -135,42 +134,6 @@ def _gauss_kronrod(fn, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
         cell = cell[refine]
         cell = np.concatenate((cell, cell))
     return total, ok
-
-
-def integrate(fn: Callable[[float], float], a: float, b: float,
-              breakpoints: Iterable[float] = ()) -> float:
-    """Adaptive Gauss-Kronrod G7/K15 integral of the scalar ``fn`` over [a, b].
-
-    The interval is split at every breakpoint strictly inside (a, b), the
-    abscissae at which ``fn`` may kink or jump; each segment receives a
-    share of ``ABS_TOL`` proportional to its length.  The rule never
-    evaluates ``fn`` at a segment end, so a jump at a breakpoint needs no
-    one-sided limit.  Raises :class:`QuadratureConvergenceError` (carrying
-    the best estimate) if the depth limit is hit before the tolerance is
-    met.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"integration bounds must be finite, got [{a}, {b}]")
-    if b < a:
-        raise DomainError(f"integration bounds out of order: [{a}, {b}]")
-    if b == a:
-        return 0.0
-    inner = sorted(float(p) for p in breakpoints if a < p < b)
-    cuts = np.array([a] + inner + [b])
-    lo, hi = cuts[:-1], cuts[1:]
-
-    def each(x, cell):
-        return np.fromiter((fn(float(t)) for t in x.flat), float,
-                           x.size).reshape(x.shape)
-
-    total, ok = _gauss_kronrod(each, lo, hi, ABS_TOL * (hi - lo) / (b - a),
-                               np.zeros(lo.size, dtype=int), 1)
-    if not ok[0]:
-        raise QuadratureConvergenceError(
-            f"Gauss-Kronrod quadrature hit depth {MAX_DEPTH} before "
-            f"reaching abs_tol={ABS_TOL} on [{a}, {b}]",
-            best_estimate=float(total[0]))
-    return float(total[0])
 
 
 def convolve_cdf(dist: ProcessingTimeDistribution, tau):

@@ -662,7 +662,7 @@ print(json.dumps({{"archlab": loaded, "json": had_json}}))
         assert found["json"] == uses_json
 
     SUBMODULES = ("cli", "distributions", "errors", "mc", "numerics",
-                  "parallel", "recall", "serial", "verify")
+                  "parallel", "recall", "serial", "traces", "verify")
 
     def test_package_lists_names_before_loading_them(self):
         found = self._probe(

@@ -34,6 +34,7 @@ from archlab.distributions import (Exponential, ProcessingTimeDistribution,
                                    Uniform, Weibull)
 from archlab.errors import QuadratureConvergenceError
 from archlab.numerics import convolve_cdf
+from archlab.verify import _PdfCdfOnly
 
 #: Worst allowed |archlab - oracle|; ABS_TOL is 1e-8, and the
 #: rule's error estimate |K15 - G7| overstates the Kronrod error by far.
@@ -83,28 +84,12 @@ FALSE_CONVERGENCE_CELL = (2.0, 1.5555555555555556, 2.126969696969697)
 FALSE_CONVERGENCE_ORACLE = 0.9825965140295506
 
 
-class PdfCdfOnly(ProcessingTimeDistribution):
-    """A distribution seen only through its pdf, cdf and breakpoints."""
-
-    def __init__(self, dist: ProcessingTimeDistribution):
-        self.dist = dist
-
-    def pdf(self, t):
-        return self.dist.pdf(t)
-
-    def cdf(self, t):
-        return self.dist.cdf(t)
-
-    def breakpoints(self):
-        return self.dist.breakpoints()
-
-
 def quadrature_path(dist):
     """``dist`` on the quadrature path: Weibull(1, u) for an exponential,
     a pdf/cdf-only view of a uniform, a Weibull as it is."""
     if isinstance(dist, Exponential):
         return Weibull(1.0, dist.u)
-    return PdfCdfOnly(dist) if isinstance(dist, Uniform) else dist
+    return _PdfCdfOnly(dist) if isinstance(dist, Uniform) else dist
 
 
 class LogLogistic(ProcessingTimeDistribution):
