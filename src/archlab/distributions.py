@@ -36,11 +36,20 @@ from .errors import DistSpecError, DomainError, ExhaustedSurvivalError
 EPS_SURVIVAL = 1e-300
 
 
+def _first_bad(arr: np.ndarray, bad: np.ndarray, name: str) -> str:
+    """``name[i]=x``: the index and value of the first ``bad`` element of
+    the array ``arr``, so that an error shows the element at fault."""
+    i = np.unravel_index(int(np.argmax(bad)), arr.shape)
+    return f"{name}[{', '.join(map(str, i))}]={float(arr[i])!r}"
+
+
 def _prepare(t, name: str = "t"):
     """Coerce to float array, rejecting non-finite entries."""
     arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite, got {t!r}")
+    finite = np.isfinite(arr)
+    if not np.all(finite):
+        got = repr(t) if arr.ndim == 0 else _first_bad(arr, ~finite, name)
+        raise DomainError(f"{name} must be finite, got {got}")
     return arr, arr.ndim == 0
 
 
@@ -48,7 +57,8 @@ def _prepare_support(t, what: str):
     """:func:`_prepare` for a functional undefined before the support."""
     t_arr, scalar = _prepare(t)
     if np.any(t_arr < 0.0):
-        raise DomainError(f"{what} undefined before the support: t={t!r}")
+        got = f"t={t!r}" if scalar else _first_bad(t_arr, t_arr < 0.0, "t")
+        raise DomainError(f"{what} undefined before the support: {got}")
     return t_arr, scalar
 
 

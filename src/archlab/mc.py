@@ -13,10 +13,11 @@ same uniforms drive every family.
 
 A block may be drawn in row slices of any sizes: numpy's Philox keeps its
 position between calls, so ``random((m1, d))`` then ``random((m2, d))``
-gives the rows of one ``random((m1 + m2, d))`` draw, bit for bit.  So the
-whole-run samplers, which draw a block at a time, and the streamed traces
-of :mod:`archlab.traces`, which draw a chunk of trials at a time, run the
-same per-slice code on the same uniforms.
+gives the rows of one ``random((m1 + m2, d))`` draw, bit for bit.  So each
+architecture has one sampler, a pure function of a slice's uniforms (e.g.
+:func:`_serial`); a whole run (:func:`_sample_run`) copies its slices of
+``_SLICE_TRIALS`` trials into arrays of every trial, and the traces of
+:mod:`archlab.traces` write each slice of theirs.
 """
 
 from __future__ import annotations
@@ -77,22 +78,31 @@ def uniform_blocks(seed: int, n_trials: int, draws_per_trial: int,
             yield lo, gen.random(out=buf[:min(step, stop - lo)])
 
 
-def sample_into(fill: Callable[..., None], draws_per_trial: int,
-                arrays: tuple[np.ndarray, ...], seed: int) -> None:
-    """Sample every trial of ``arrays`` (one row per trial) in place: each
-    block of uniforms ``u`` goes to ``fill(u, *views)``, the views being
-    the arrays' rows of the block's trials."""
-    for start, u in uniform_blocks(seed, len(arrays[0]), draws_per_trial):
-        fill(u, *(a[start:start + len(u)] for a in arrays))
+#: Trials (theorem1: pairs) per slice of a whole run; a slice's temporaries
+#: stay in cache (16384 ran theorem1 1.5 times slower on a 2-vCPU host).
+_SLICE_TRIALS = 1 << 13
+
+
+def _sample_run(sample: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+                draws_per_trial: int, n_trials: int,
+                seed: int) -> tuple[np.ndarray, ...]:
+    """The arrays of every trial, one row per trial: each slice's arrays
+    ``sample(u)`` copied into the rows of its trials."""
+    whole = ()
+    for start, u in uniform_blocks(seed, n_trials, draws_per_trial, _SLICE_TRIALS):
+        part = sample(u)
+        whole = whole or tuple(np.empty((n_trials, *a.shape[1:]), a.dtype)
+                               for a in part)
+        for w, a in zip(whole, part):
+            w[start:start + len(a)] = a
+    return whole
 
 
 def sample_iid(dist: "ProcessingTimeDistribution", n_trials: int,
                per_trial: int, seed: int) -> np.ndarray:
     """(n_trials, per_trial) iid draws via inverse CDF."""
-    out = np.empty((n_trials, per_trial), dtype=float)
-    for start, u in uniform_blocks(seed, n_trials, per_trial):
-        out[start:start + u.shape[0]] = dist.quantile(u)
-    return out
+    return _sample_run(lambda u: (np.asarray(dist.quantile(u), dtype=float),),
+                       per_trial, n_trials, seed)[0]
 
 
 _ORDERS = np.array([b"a_first", b"b_first"])  # S7, indexed by b_first
@@ -124,29 +134,21 @@ class Trials:
         write_table(out, self.columns, self.table())
 
 
-def _new_trials(n_trials: int) -> tuple[np.ndarray, ...]:
-    """The arrays of a :class:`Trials` of ``n_trials`` trials, in field order."""
-    return (np.empty(n_trials, dtype=bool), *(np.empty(n_trials) for _ in range(4)))
+def _serial(model: "SerialTwoModel", u) -> tuple[np.ndarray, ...]:
+    b_first = u[:, 0] >= model.p
+    z_a = np.asarray(model.dist.quantile(u[:, 1]), dtype=float)
+    z_b = np.asarray(model.dist.quantile(u[:, 2]), dtype=float)
+    return (b_first, np.where(b_first, z_b, z_a), np.where(b_first, z_a, z_b),
+            np.where(b_first, z_a + z_b, z_a), np.where(b_first, z_b, z_a + z_b))
 
 
-def _serial_fill(model: "SerialTwoModel", u, b_first, t1, t2, total_a,
-                 total_b) -> None:
-    b_first[...] = u[:, 0] >= model.p
-    z_a = np.asarray(model.dist.quantile(u[:, 1]))
-    z_b = np.asarray(model.dist.quantile(u[:, 2]))
-    t1[...] = np.where(b_first, z_b, z_a)
-    t2[...] = np.where(b_first, z_a, z_b)
-    total_a[...] = np.where(b_first, z_a + z_b, z_a)
-    total_b[...] = np.where(b_first, z_b, z_a + z_b)
-
-
-def _parallel_fill(model: "ParallelTwoModel", u, b_first, t1, t2, total_a,
-                   total_b) -> None:
-    total_a[...] = model.dist.quantile(u[:, 0])
-    total_b[...] = model.dist.quantile(u[:, 1])
-    np.less(total_b, total_a, out=b_first)
-    np.minimum(total_a, total_b, out=t1)
-    np.subtract(np.maximum(total_a, total_b), t1, out=t2)
+def _parallel(model: "ParallelTwoModel", u) -> tuple[np.ndarray, ...]:
+    total_a = np.asarray(model.dist.quantile(u[:, 0]), dtype=float)
+    total_b = np.asarray(model.dist.quantile(u[:, 1]), dtype=float)
+    t1 = np.minimum(total_a, total_b)
+    t2 = np.maximum(total_a, total_b)
+    t2 -= t1
+    return total_b < total_a, t1, t2, total_a, total_b
 
 
 def simulate_serial(model: "SerialTwoModel", n_trials: int, seed: int) -> Trials:
@@ -156,16 +158,12 @@ def simulate_serial(model: "SerialTwoModel", n_trials: int, seed: int) -> Trials
     two more drive the iid stage draws.  With a first: totals are
     (z_a, z_a + z_b); with b first: (z_a + z_b, z_b).
     """
-    arrays = _new_trials(n_trials)
-    sample_into(partial(_serial_fill, model), 3, arrays, seed)
-    return Trials(*arrays)
+    return Trials(*_sample_run(partial(_serial, model), 3, n_trials, seed))
 
 
 def simulate_parallel(model: "ParallelTwoModel", n_trials: int, seed: int) -> Trials:
     """Simulate the two-channel race; order set by comparison, ties to a."""
-    arrays = _new_trials(n_trials)
-    sample_into(partial(_parallel_fill, model), 2, arrays, seed)
-    return Trials(*arrays)
+    return Trials(*_sample_run(partial(_parallel, model), 2, n_trials, seed))
 
 
 @dataclass(frozen=True)
@@ -199,21 +197,16 @@ def run_theorem1_mc(n_samples: int, seed: int) -> Theorem1Result:
     single processing-time distribution realizes at any one time point.
     The per-family dependence analyses cover the realizable subsets.
 
-    Each block is drawn into one buffer and counted in place on a few
-    scratch rows (:func:`_sign_counts`), with no per-block temporaries.
     Every retained pair goes through the same floating-point operations as
     the expression above, so the counts, and the printed bytes, are those
     of evaluating it on the retained pairs alone.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    m = min(n_samples, BLOCK_TRIALS)
-    work = np.empty((4, m))
-    flags = np.empty((2, m), dtype=bool)
     n_cond = 0
     n_pos = 0
-    for _, block in uniform_blocks(seed, n_samples, 2):
-        kept, positive = _sign_counts(block, work, flags)
+    for _, u in uniform_blocks(seed, n_samples, 2, _SLICE_TRIALS):
+        kept, positive = _sign_counts(u)
         n_cond += kept
         n_pos += positive
     if n_cond == 0:
@@ -224,37 +217,20 @@ def run_theorem1_mc(n_samples: int, seed: int) -> Theorem1Result:
                           fraction_positive=frac, stderr=stderr, seed=seed)
 
 
-def _sign_counts(u: np.ndarray, work: np.ndarray,
-                 flags: np.ndarray) -> tuple[int, int]:
-    """(retained, positive) pairs among the uniform pairs ``u[:, :2]``, as
-    :func:`run_theorem1_mc` defines them, computed on the scratch rows
-    ``work`` ((4, >= len(u)) float) and ``flags`` ((2, >= len(u)) bool).
+def _sign_counts(u: np.ndarray) -> tuple[int, int]:
+    """(retained, positive) pairs among the uniform pairs ``u``, as
+    :func:`run_theorem1_mc` defines them.
 
     The kernel runs on every pair, retained or not; where alpha = 0 its
     division is by zero, so those warnings are silenced, and such a pair
     is never retained."""
-    m = u.shape[0]
-    alpha, beta, sq, expr3 = (row[:m] for row in work)
-    keep, pos = (row[:m] for row in flags)
-    np.copyto(alpha, u[:, 0])
-    np.subtract(1.0, alpha, out=beta)
-    np.multiply(beta, u[:, 1], out=beta)
-    np.add(alpha, beta, out=beta)  # alpha + (1 - alpha) u1
-    np.multiply(beta, beta, out=sq)
-    np.greater_equal(sq, alpha, out=keep)
-    np.greater(alpha, 0.0, out=pos)
-    np.logical_and(keep, pos, out=keep)
-    root = np.sqrt(alpha, out=sq)
+    alpha = u[:, 0].copy()  # contiguous: read five times
+    beta = alpha + (1.0 - alpha) * u[:, 1]
+    keep = (beta * beta >= alpha) & (alpha > 0.0)
+    root = np.sqrt(alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(beta, root, out=expr3)
-        np.subtract(root, expr3, out=expr3)
-        np.square(expr3, out=expr3)
-        np.multiply(0.25, expr3, out=expr3)
-        np.subtract(1.0, beta, out=beta)
-        np.subtract(beta, expr3, out=expr3)  # (1 - beta) - (...)^2 / 4
-        np.greater(expr3, 0.0, out=pos)
-    np.logical_and(pos, keep, out=pos)
-    return int(np.count_nonzero(keep)), int(np.count_nonzero(pos))
+        expr3 = (1.0 - beta) - 0.25 * np.square(root - beta / root)
+    return int(np.count_nonzero(keep)), int(np.count_nonzero(keep & (expr3 > 0.0)))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import (Exponential, ProcessingTimeDistribution, Uniform,
-                            Weibull)
+                            Weibull, _first_bad)
 from .errors import DomainError, QuadratureConvergenceError
 
 #: Absolute tolerance under which a computed difference counts as zero when
@@ -154,10 +154,10 @@ def convolve_cdf(dist: ProcessingTimeDistribution, tau):
     first such tau and carrying its best estimate.
     """
     taus = np.asarray(tau, dtype=float)
-    if not np.all(np.isfinite(taus)):
-        raise DomainError(f"tau must be finite, got {tau}")
-    if np.any(taus < 0):
-        raise DomainError(f"tau must be nonnegative, got {tau}")
+    for bad, what in ((~np.isfinite(taus), "finite"), (taus < 0, "nonnegative")):
+        if np.any(bad):
+            got = tau if taus.ndim == 0 else _first_bad(taus, bad, "tau")
+            raise DomainError(f"tau must be {what}, got {got}")
 
     if isinstance(dist, Exponential):
         ut = dist.u * taus
@@ -251,23 +251,24 @@ def write_table(out, names: Sequence[str], cols: Sequence,
 
     The table's row is planned once (:mod:`archlab._cells`): each cell
     gets a slot of whole 8-byte words, a float's being 32 bytes, whose
-    unused bytes are deleted on output.  A chunk of rows is computed as one
-    (words, rows) matrix.  A float's 17 digits are its correctly rounded
-    scaled value, computed for all the float cells of the chunk at once
-    from an exact 26-by-26-bit product and a remainder good to 8.1e-7.  The
-    cells that cannot be settled so are printed one by one by
-    ``format(x, ".17g")``: non-finite values, magnitudes outside
-    [2^-896, 2^896) (subnormals among them), values whose scaled fraction
-    lies within 1e-5 of 1/2 (a possible decimal tie) and values whose 17
-    digits round up to 10^17.  Either way the bytes equal ``'%.17g' % x``.
+    unused bytes are deleted on output.  The writer cuts every chunk it is
+    given (here the whole table) into pieces of at most ``_CHUNK_ROWS``
+    rows, each computed as one (words, rows) matrix.  A float's 17 digits
+    are its correctly rounded scaled value, computed for all the float
+    cells of a piece at once from an exact 26-by-26-bit product and a
+    remainder good to 8.1e-7.  The cells that cannot be settled so are
+    printed one by one by ``format(x, ".17g")``: non-finite values,
+    magnitudes outside [2^-896, 2^896) (subnormals among them), values
+    whose scaled fraction lies within 1e-5 of 1/2 (a possible decimal tie)
+    and values whose 17 digits round up to 10^17.  Either way the bytes
+    equal ``'%.17g' % x``.
     In process, on a 2-vCPU host, a 250,000-row simulate serial table
     takes about 0.9 us per row.
     """
     n = len(cols[0]) if len(cols) else 0
     if any(len(c) != n for c in cols):
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
-    _write_chunks(out, names, ([c[i:i + _CHUNK_ROWS] for c in cols]
-                               for i in range(0, n, _CHUNK_ROWS)), head)
+    _write_chunks(out, names, [cols] if n else [], head)
 
 
 def write_rows_csv(out, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -279,7 +280,8 @@ def write_rows_csv(out, header: Sequence[str], rows: Iterable[Sequence]) -> None
 
 
 def _write_chunks(out, names, chunks, head) -> None:
-    """:func:`write_table` from an iterable of column-slice chunks."""
+    """:func:`write_table` from an iterable of chunks of equal-length
+    columns, each cut into pieces of at most ``_CHUNK_ROWS`` rows."""
     if isinstance(out, (str, bytes, os.PathLike)):
         with open(out, "w", newline="") as fh:
             return _write_chunks(fh, names, chunks, head)
@@ -298,6 +300,8 @@ def _write_chunks(out, names, chunks, head) -> None:
     table = Table(names, csv)
     skip = 0 if csv else 2  # the first JSON row has no ", " before it
     for part in chunks:
-        out.write(table.format_chunk([np.asarray(c) for c in part])[skip:])
-        skip = 0
+        for lo in range(0, len(part[0]), _CHUNK_ROWS):
+            out.write(table.format_chunk(
+                [np.asarray(c[lo:lo + _CHUNK_ROWS]) for c in part])[skip:])
+            skip = 0
     out.write("\n" if csv else "]}\n")

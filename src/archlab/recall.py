@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .mc import sample_into
+from .mc import _sample_run
 from .numerics import write_table
 
 _K_LO = 0.05
@@ -142,18 +142,13 @@ class RecallTrials:
         write_table(out, self.columns, self.table())
 
 
-def _new_trials(n_trials: int, n_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (orders, icts) arrays of a :class:`RecallTrials`."""
-    return (np.empty((n_trials, n_items), dtype=np.int64),
-            np.empty((n_trials, n_items)))
-
-
-def _vu_serial_fill(model: RecallModel, u, orders, icts) -> None:
+def _vu_serial(model: RecallModel, u) -> tuple[np.ndarray, np.ndarray]:
     n = model.n
     rates = np.asarray(model.rates)
-    blen = u.shape[0]
-    rows = np.arange(blen)
-    mask = np.ones((blen, n), dtype=bool)
+    rows = np.arange(len(u))
+    mask = np.ones((len(u), n), dtype=bool)
+    orders = np.empty(mask.shape, dtype=np.int64)
+    icts = np.empty(mask.shape)
     for j in range(n):
         masked = np.where(mask, rates[None, :], 0.0)
         cum = np.cumsum(masked, axis=1)
@@ -164,27 +159,26 @@ def _vu_serial_fill(model: RecallModel, u, orders, icts) -> None:
         orders[:, j] = idx
         icts[:, j] = -np.log1p(-u[:, 2 * j + 1]) / total
         mask[rows, idx] = False
+    return orders, icts
 
 
-def _parallel_expo_fill(model: RecallModel, u, orders, icts) -> None:
+def _parallel_expo(model: RecallModel, u) -> tuple[np.ndarray, np.ndarray]:
     z = -np.log1p(-u) / np.asarray(model.rates)[None, :]
-    orders[...] = np.argsort(z, axis=1, kind="stable")  # ties -> lower index
-    icts[...] = np.diff(np.take_along_axis(z, orders, axis=1), axis=1,
-                        prepend=0.0)
+    orders = np.argsort(z, axis=1, kind="stable")  # ties -> lower index
+    return orders, np.diff(np.take_along_axis(z, orders, axis=1), axis=1,
+                           prepend=0.0)
 
 
 def sample_vu_serial(model: RecallModel, n_trials: int, seed: int) -> RecallTrials:
     """Simulate the serial search directly, stage by stage."""
-    arrays = _new_trials(n_trials, model.n)
-    sample_into(partial(_vu_serial_fill, model), 2 * model.n, arrays, seed)
-    return RecallTrials(*arrays)
+    return RecallTrials(*_sample_run(partial(_vu_serial, model), 2 * model.n,
+                                     n_trials, seed))
 
 
 def sample_parallel_expo(model: RecallModel, n_trials: int, seed: int) -> RecallTrials:
     """Simulate the matching parallel model: sort independent exponentials."""
-    arrays = _new_trials(n_trials, model.n)
-    sample_into(partial(_parallel_expo_fill, model), model.n, arrays, seed)
-    return RecallTrials(*arrays)
+    return RecallTrials(*_sample_run(partial(_parallel_expo, model), model.n,
+                                     n_trials, seed))
 
 
 def rw_mean_ict(n: int, u: float, j: int, convention: str = "as_printed") -> float:

@@ -1,12 +1,10 @@
-"""Trial traces streamed a chunk of trials at a time: ``archlab simulate``.
+"""Trial traces streamed a slice of trials at a time: ``archlab simulate``.
 
-Each trace samples ``CHUNK_TRIALS`` trials, turns them into rows of the
-whole-run table (``Trials.table()`` or ``RecallTrials.table()``, trials
-numbered from the chunk's start) and hands them to the writer in chunks of
-at most ``numerics._CHUNK_ROWS`` rows before it draws the next chunk, so a
-trace's memory does not depend on its number of trials.  The chunks are
-sampled by the per-slice code of the whole-run samplers, on the same
-uniforms (see :mod:`archlab.mc`), so their bytes are the whole-run table's.
+A trace samples ``CHUNK_TRIALS`` trials with its architecture's sampler,
+on the whole run's uniforms (see :mod:`archlab.mc`), and hands their rows
+of the whole-run table (trials numbered from the slice's start) to the
+writer before it draws the next slice.  So a trace's memory does not
+depend on its number of trials, and its bytes are the whole-run table's.
 """
 
 from __future__ import annotations
@@ -50,48 +48,36 @@ class TableChunks:
         _write_chunks(out, self.columns, self._chunks, head)
 
 
-def _table(trials: type, fill: Callable[..., None], draws_per_trial: int,
-           new: Callable[[int], tuple[np.ndarray, ...]], n_trials: int,
-           seed: int) -> TableChunks:
-    """The ``trials.table()`` of a run, a chunk of ``CHUNK_TRIALS`` trials
-    at a time: the new arrays ``new(m)`` of a chunk's m trials are sampled
-    by ``fill`` as :func:`archlab.mc.sample_into` samples a whole run."""
-    def chunks():
-        for start, u in mc.uniform_blocks(seed, n_trials, draws_per_trial,
-                                          CHUNK_TRIALS):
-            arrays = new(len(u))
-            fill(u, *arrays)
-            cols = trials(*arrays).table(start)
-            for lo in range(0, len(cols[0]), _CHUNK_ROWS):  # recall: n rows a trial
-                yield [c[lo:lo + _CHUNK_ROWS] for c in cols]
-    return TableChunks(trials.columns, chunks())
+def _table(trials: type, sample: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+           draws_per_trial: int, n_trials: int, seed: int) -> TableChunks:
+    """The ``trials.table()`` of the run that :func:`archlab.mc._sample_run`
+    samples, a slice of ``CHUNK_TRIALS`` trials at a time."""
+    return TableChunks(trials.columns, (
+        trials(*sample(u)).table(start) for start, u in
+        mc.uniform_blocks(seed, n_trials, draws_per_trial, CHUNK_TRIALS)))
 
 
 def serial(model: SerialTwoModel, n_trials: int, seed: int) -> TableChunks:
     """``mc.simulate_serial(model, n_trials, seed).table()`` in chunks."""
-    return _table(mc.Trials, partial(mc._serial_fill, model), 3,
-                  mc._new_trials, n_trials, seed)
+    return _table(mc.Trials, partial(mc._serial, model), 3, n_trials, seed)
 
 
 def parallel(model: ParallelTwoModel, n_trials: int, seed: int) -> TableChunks:
     """``mc.simulate_parallel(model, n_trials, seed).table()`` in chunks."""
-    return _table(mc.Trials, partial(mc._parallel_fill, model), 2,
-                  mc._new_trials, n_trials, seed)
+    return _table(mc.Trials, partial(mc._parallel, model), 2, n_trials, seed)
 
 
 def recall_serial(model: RecallModel, n_trials: int, seed: int) -> TableChunks:
-    """``recall.sample_vu_serial(model, n_trials, seed).table()`` in
-    chunks."""
-    from .recall import RecallTrials, _new_trials, _vu_serial_fill
+    """``recall.sample_vu_serial(...).table()`` in chunks."""
+    from .recall import RecallTrials, _vu_serial
 
-    return _table(RecallTrials, partial(_vu_serial_fill, model), 2 * model.n,
-                  partial(_new_trials, n_items=model.n), n_trials, seed)
+    return _table(RecallTrials, partial(_vu_serial, model), 2 * model.n,
+                  n_trials, seed)
 
 
 def recall_parallel(model: RecallModel, n_trials: int, seed: int) -> TableChunks:
-    """``recall.sample_parallel_expo(model, n_trials, seed).table()`` in
-    chunks."""
-    from .recall import RecallTrials, _new_trials, _parallel_expo_fill
+    """``recall.sample_parallel_expo(...).table()`` in chunks."""
+    from .recall import RecallTrials, _parallel_expo
 
-    return _table(RecallTrials, partial(_parallel_expo_fill, model), model.n,
-                  partial(_new_trials, n_items=model.n), n_trials, seed)
+    return _table(RecallTrials, partial(_parallel_expo, model), model.n,
+                  n_trials, seed)

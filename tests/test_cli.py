@@ -235,6 +235,15 @@ class TestDependence:
                 collapsed.append(s)
         assert collapsed == ["positive", "negative", "zero"]
 
+    def test_positive_tau_min_keeps_both_ends(self, capsys):
+        # a grid that starts above 0 runs over `steps` points, both ends
+        # included; one that starts at 0 leaves tau = 0 out
+        code, out, _ = run(["dependence", "--dist", "exp:u=1", "--tau-min", "0.5",
+                            "--tau-max", "2", "--steps", "4"], capsys)
+        assert code == 0
+        taus = [float(line.split(",", 1)[0]) for line in out.splitlines()[1:]]
+        assert np.array_equal(taus, np.linspace(0.5, 2.0, 4))
+
     def test_json_format(self, capsys):
         code, out, _ = run(["dependence", "--dist", "exp:u=1", "--steps", "5",
                             "--tau-max", "2", "--format", "json"], capsys)
@@ -494,7 +503,7 @@ def test_failing_command_leaves_out_untouched(tmp_path, capsys, monkeypatch):
     def failing_draw(*args):
         raise DomainError("first chunk failed")
 
-    monkeypatch.setattr(mc, "_parallel_fill", failing_draw)
+    monkeypatch.setattr(mc, "_parallel", failing_draw)
     for argv, message in (
             (["serial", "--dist", "exp:u=1", "--p", "1.5"], "p must be"),
             (["recall-serial", "--rates", "1,-2"], "rates must be positive"),
@@ -573,15 +582,15 @@ def test_reader_closing_stdout_early_is_not_an_error():
     # `archlab simulate ... | head -c 100`: the table is far longer than
     # the pipe buffer, so the writer meets the closed pipe
     src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.Popen(
-        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
-         "from archlab.cli import main; sys.exit(main(sys.argv[2:]))", str(src),
-         "simulate", "serial", "--dist", "exp:u=1", "--n", "200000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    head = proc.stdout.read(100)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
+    with subprocess.Popen(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from archlab.cli import main; sys.exit(main(sys.argv[2:]))", str(src),
+             "simulate", "serial", "--dist", "exp:u=1", "--n", "200000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
     assert head.startswith(b"trial,order,t1,t2,total_a,total_b\n")
     assert err == b""
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,27 @@ class TestErrors:
                 dist.hazard(-0.5)
             with pytest.raises(DomainError, match="before the support"):
                 dist.cum_hazard(-0.5)
+
+    def test_array_errors_name_the_first_bad_element(self):
+        # numpy's repr of a 2001-element array shows only its ends, so the
+        # message names the element at fault; a scalar's message is as before
+        t = np.linspace(0.0, 5.0, 2001)
+        t[1000], t[1500] = -1.0, -2.0
+        with pytest.raises(DomainError, match=re.escape(
+                "hazard undefined before the support: t[1000]=-1.0")):
+            Weibull(2.0, 1.0).hazard(t)
+        with pytest.raises(DomainError, match=re.escape(
+                "cumulative hazard undefined before the support: t[0, 1000]=-1.0")):
+            Weibull(2.0, 1.0).cum_hazard(t.reshape(1, -1))
+        with pytest.raises(DomainError, match=re.escape(
+                "hazard undefined before the support: t=-0.5")):
+            Weibull(2.0, 1.0).hazard(-0.5)
+        t[1000], t[1500] = math.nan, math.inf
+        with pytest.raises(DomainError, match=re.escape(
+                "t must be finite, got t[1000]=nan")):
+            Exponential(1.0).cdf(t)
+        with pytest.raises(DomainError, match=re.escape("t must be finite, got inf")):
+            Exponential(1.0).cdf(math.inf)
 
     def test_uniform_cum_hazard_domain(self):
         with pytest.raises(DomainError):

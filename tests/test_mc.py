@@ -7,7 +7,7 @@ from scipy import stats
 from archlab import mc, recall, traces
 from archlab.distributions import Exponential, Uniform, Weibull
 from archlab.errors import ConditioningError, DomainError, McError
-from archlab.numerics import _CHUNK_ROWS, convolve_cdf
+from archlab.numerics import convolve_cdf
 from archlab.parallel import ParallelTwoModel
 from archlab.recall import RecallModel
 from archlab.serial import SerialTwoModel, marginal_completion_cdf
@@ -124,7 +124,8 @@ class TestTheorem1:
 
 def _compacted_counts(u):
     """The kernel evaluated on the retained pairs only, as it was first
-    written: the oracle for the in-place count."""
+    written: the oracle for ``mc._sign_counts``, which runs it on every
+    pair of a slice."""
     alpha = u[:, 0]
     beta = alpha + (1.0 - alpha) * u[:, 1]
     keep = (alpha > 0.0) & (beta * beta >= alpha)
@@ -132,11 +133,6 @@ def _compacted_counts(u):
     root = np.sqrt(a)
     expr3 = 1.0 - b - 0.25 * (root - b / root) ** 2
     return int(keep.sum()), int((expr3 > 0.0).sum())
-
-
-def _in_place_counts(u, scratch_rows=None):
-    m = scratch_rows or len(u)
-    return mc._sign_counts(u, np.empty((4, m)), np.empty((2, m), dtype=bool))
 
 
 class TestTheorem1InPlace:
@@ -162,11 +158,10 @@ class TestTheorem1InPlace:
         u[[0, 57, 199], 0] = 0.0
         u[57, 1] = 0.0
         u[[10, 11], 0] = [2.0 ** -53, 2.0 ** -52]  # the least nonzero draws
-        assert _in_place_counts(u) == _compacted_counts(u)
-        assert _in_place_counts(u, scratch_rows=500) == _compacted_counts(u)
-        assert _in_place_counts(u[[0, 57, 199]]) == (0, 0)
-        kept, _ = _in_place_counts(u)
-        assert kept == _in_place_counts(np.delete(u, [0, 57, 199], axis=0))[0]
+        assert mc._sign_counts(u) == _compacted_counts(u)
+        assert mc._sign_counts(u[[0, 57, 199]]) == (0, 0)
+        kept, _ = mc._sign_counts(u)
+        assert kept == mc._sign_counts(np.delete(u, [0, 57, 199], axis=0))[0]
 
 
 class TestSimulateSerial:
@@ -328,16 +323,20 @@ class TestTraces:
 
     @pytest.mark.parametrize("arch", MODELS)
     def test_chunks_are_writer_chunks_of_the_whole_table(self, arch):
-        # every chunk is one writer chunk or less, and together they are
-        # the whole-run table, trial index included
+        # the chunks handed to the writer hold CHUNK_TRIALS trials each
+        # (the last the rest), and together they are the whole-run table,
+        # trial index included; the writer cuts them to _CHUNK_ROWS rows
+        # (TestWriteTable.test_writer_cuts_every_chunk)
         whole = {"serial": mc.simulate_serial, "parallel": mc.simulate_parallel,
                  "recall_serial": recall.sample_vu_serial,
                  "recall_parallel": recall.sample_parallel_expo}[arch]
         n = 2 * traces.CHUNK_TRIALS + 3
         trace = getattr(traces, arch)(self.MODELS[arch], n, 4)
         chunks = list(trace)
-        assert all(0 < len(c[0]) <= _CHUNK_ROWS for c in chunks)
         table = whole(self.MODELS[arch], n, 4).table()
+        rows_per_trial = len(table[0]) // n
+        assert [len(c[0]) for c in chunks] == [
+            rows_per_trial * m for m in (traces.CHUNK_TRIALS, traces.CHUNK_TRIALS, 3)]
         assert trace.columns == whole(self.MODELS[arch], 1, 4).columns
         for got, want in zip(zip(*chunks), table):
             assert np.array_equal(np.concatenate(got), want)

@@ -109,6 +109,21 @@ class TestConvolveCdf:
         with pytest.raises(DomainError):
             convolve_cdf(Exponential(1.0), math.nan)
 
+    def test_array_errors_name_the_first_bad_tau(self):
+        taus = np.linspace(0.0, 5.0, 2001)
+        taus[1000], taus[1999] = -1.0, -3.0
+        with pytest.raises(DomainError, match=re.escape(
+                "tau must be nonnegative, got tau[1000]=-1.0")):
+            convolve_cdf(Weibull(2.0, 1.0), taus)
+        taus[700] = math.inf
+        with pytest.raises(DomainError, match=re.escape(
+                "tau must be finite, got tau[700]=inf")):
+            convolve_cdf(Weibull(2.0, 1.0), taus)
+        # scalar messages keep their form
+        with pytest.raises(DomainError, match=re.escape(
+                "tau must be nonnegative, got -0.5")):
+            convolve_cdf(Weibull(2.0, 1.0), -0.5)
+
     @pytest.mark.parametrize("dist", [Exponential(1.3), Uniform(2.0)])
     def test_numeric_matches_closed_on_100_points(self, dist):
         hi = 2.5 * float(dist.quantile(0.99)) if isinstance(dist, Exponential) else 5.0
@@ -427,6 +442,31 @@ class TestWriteTable:
             return sum(stat.size for stat in mine.statistics("filename"))
 
         assert left(300) - left(10) < 290
+
+    @pytest.mark.parametrize("head", [None, {}])
+    def test_writer_cuts_every_chunk(self, monkeypatch, head):
+        # the writer formats at most _CHUNK_ROWS rows at a time, whatever
+        # the chunks it is handed: a recall trace's chunks of 1024 trials of
+        # 5 items, or write_table's one whole-table chunk
+        from archlab import _cells, traces
+        from archlab.recall import RecallModel
+
+        sizes = []
+        format_chunk = _cells.Table.format_chunk
+
+        def spy(table, cols):
+            sizes.append(len(cols[0]))
+            return format_chunk(table, cols)
+
+        monkeypatch.setattr(_cells.Table, "format_chunk", spy)
+        n = 2 * traces.CHUNK_TRIALS + 3
+        traces.recall_serial(RecallModel((1.0, 2.0, 3.0, 4.0, 5.0)), n,
+                             4).write(io.StringIO(), head)
+        assert sum(sizes) == 5 * n and max(sizes) == numerics._CHUNK_ROWS
+        sizes.clear()
+        rows = 3 * numerics._CHUNK_ROWS + 1
+        write_table(io.StringIO(), ("x",), (np.arange(rows),), head)
+        assert sizes == [numerics._CHUNK_ROWS] * 3 + [1]
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     def test_rows_adapter_matches_columns(self, monkeypatch, chunk):

@@ -478,6 +478,21 @@ class TestClassifyTrend:
                                    *self.region(0.1, 5.0))
         assert res.trend == "second_stage_slower"
 
+    def test_weibull_k4_late_region_faster(self):
+        # past the hazard's rise every resolvable gap is positive
+        res = classify_stage_trend(ParallelTwoModel(Weibull(4.0, 1.0)),
+                                   np.linspace(0.5, 1.0, 4), np.linspace(2.0, 3.0, 4))
+        assert res.trend == "second_stage_faster"
+        assert (res.n_positive, res.n_negative, res.n_zero) == (16, 0, 0)
+        assert res.negative_witness is None and res.positive_witness is not None
+
+    def test_only_zero_cells_raise(self):
+        # t = 0 cells are degenerate zeros, so they carry no sign information
+        with pytest.raises(DomainError, match="region produced no resolvable sign "
+                                              "information"):
+            classify_stage_trend(ParallelTwoModel(Weibull(4.0, 1.0)), [0.0],
+                                 np.linspace(2.0, 3.0, 4))
+
 
 class TestSimulationOracle:
     def test_binned_conditional_survival(self):

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from archlab import mc
+from archlab import mc, serial
 from archlab.distributions import Exponential, Uniform, Weibull
-from archlab.errors import (ConditioningError, DomainError,
+from archlab.errors import (ConditioningError, ConsistencyError, DomainError,
                             OrderingViolationError)
 from archlab.numerics import convolve_cdf
 from archlab.serial import (SerialTwoModel, analytic_stage_variance,
@@ -73,6 +73,14 @@ class TestDependenceDifference:
         trials = mc.simulate_serial(model, 10 ** 7, 20240517)
         est = mc.empirical_dependence(trials, 1.0)
         assert abs(est.estimate - 0.1414051) <= 3.0 * est.stderr
+
+    def test_disagreeing_routes_name_the_first_tau(self, monkeypatch):
+        # a negative tolerance makes the two routes disagree everywhere
+        monkeypatch.setattr(serial, "ROUTE_AGREEMENT_TOL", -1.0)
+        model = SerialTwoModel(Exponential(1.0), 0.5)
+        with pytest.raises(ConsistencyError,
+                           match=r"dependence routes disagree at tau=0\.5: "):
+            dependence_difference(model, np.array([0.5, 1.0]))
 
     def test_uniform_three_regimes(self):
         model = SerialTwoModel(Uniform(2.0), 0.5)
