@@ -19,6 +19,12 @@ import stat
 import sys
 from typing import TYPE_CHECKING, Sequence
 
+# numpy's OpenBLAS starts a worker thread at import, whose spin slows
+# start-up, yet archlab's only float matmul is the 3x3 product in
+# mc.empirical_dependence.  A user's own setting wins, and a process that
+# imported numpy before this module keeps its pool.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .distributions import (ProcessingTimeDistribution, Uniform,
@@ -115,7 +121,7 @@ def _build_parser() -> _Parser:
     dep.add_argument("--tau-min", type=float, default=0.0,
                      help="0 starts at the first positive grid point")
     dep.add_argument("--tau-max", type=float, default=None,
-                     help="default: quantile 0.999 of the stage sum scale")
+                     help="default: 2 * quantile(0.999) of --dist")
     dep.add_argument("--steps", type=int, default=100)
     dep.add_argument("--out", default=None)
     dep.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -194,6 +200,13 @@ def _check_axes(steps: int, **ranges: tuple[float, float]) -> None:
             raise UsageError(f"--{name}-min must be >= 0, got {lo}")
         if not hi > lo:
             raise UsageError(f"--{name}-max ({hi}) must exceed --{name}-min ({lo})")
+
+
+def _check_default(flag: str, rule: str, spec: str, value: float) -> None:
+    """A flag's default, ``rule`` of the ``--dist`` spec, must be finite."""
+    if not math.isfinite(value):
+        raise UsageError(f"--{flag}: the default, {rule} of --dist {spec}, "
+                         f"is {value}; pass --{flag}")
 
 
 def _tau_grid(lo: float, hi: float, steps: int) -> np.ndarray:
@@ -286,7 +299,9 @@ def _cmd_dependence(args) -> int:
     model = SerialTwoModel(dist, args.p)
     tau_max = args.tau_max
     if tau_max is None:
-        tau_max = 2.0 * float(dist.quantile(0.999))
+        with np.errstate(over="ignore"):
+            tau_max = 2.0 * float(dist.quantile(0.999))
+        _check_default("tau-max", "2 * quantile(0.999)", args.dist, tau_max)
     taus = _tau_grid(args.tau_min, tau_max, args.steps)
     return _write_table(args, dependence_profile(model, taus))
 
@@ -294,8 +309,12 @@ def _cmd_dependence(args) -> int:
 def _cmd_stage_survival(args) -> int:
     dist = _parse_dist(args.dist)
     upper = dist.support_upper
-    t_max = args.t_max if args.t_max is not None else (
-        0.45 * upper if np.isfinite(upper) else 3.0 * dist.typical_scale)
+    t_max = args.t_max
+    if t_max is None and np.isfinite(upper):
+        t_max = 0.45 * upper
+    elif t_max is None:
+        t_max = 3.0 * dist.typical_scale
+        _check_default("t-max", "3 * typical_scale", args.dist, t_max)
     ta_max = args.ta_max if args.ta_max is not None else t_max
     t, ta = (args.t_min, t_max), (args.ta_min, ta_max)
     _check_axes(args.steps, t=t, ta=ta)

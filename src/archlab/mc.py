@@ -17,12 +17,15 @@ gives the rows of one ``random((m1 + m2, d))`` draw, bit for bit.  So each
 architecture has one sampler, a pure function of a slice's uniforms (e.g.
 :func:`_serial`); a whole run (:func:`_sample_run`) copies its slices of
 ``_SLICE_TRIALS`` trials into arrays of every trial, and the traces of
-:mod:`archlab.traces` write each slice of theirs.
+:mod:`archlab.traces` write each slice of theirs.  :func:`run_theorem1_mc`
+counts its even and its odd blocks on two threads and adds the integer
+counts, so they do not depend on the schedule either.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -58,9 +61,11 @@ class RngState:
 
 
 def uniform_blocks(seed: int, n_trials: int, draws_per_trial: int,
-                   rows: int = BLOCK_TRIALS) -> Iterator[tuple[int, np.ndarray]]:
+                   rows: int = BLOCK_TRIALS, blocks: slice = slice(None)
+                   ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start_index, uniforms[m, draws_per_trial]) slices of at most
-    ``rows`` trials, block after block.
+    ``rows`` trials, block after block, from the blocks that ``blocks``
+    picks out of the run's (``slice(1, None, 2)``: the odd ones).
 
     Every slice is drawn into one buffer, so a slice must be used before
     the next one is drawn; the draws are those of one draw per block
@@ -71,8 +76,9 @@ def uniform_blocks(seed: int, n_trials: int, draws_per_trial: int,
         raise DomainError(f"seed must be nonnegative, got {seed}")
     step = min(n_trials, rows, BLOCK_TRIALS)
     buf = np.empty((step, draws_per_trial))
-    for start in range(0, n_trials, BLOCK_TRIALS):
-        gen = RngState(seed, start // BLOCK_TRIALS).generator()
+    for index in range(-(-n_trials // BLOCK_TRIALS))[blocks]:
+        start = index * BLOCK_TRIALS
+        gen = RngState(seed, index).generator()
         stop = min(start + BLOCK_TRIALS, n_trials)
         for lo in range(start, stop, step):
             yield lo, gen.random(out=buf[:min(step, stop - lo)])
@@ -200,15 +206,42 @@ def run_theorem1_mc(n_samples: int, seed: int) -> Theorem1Result:
     Every retained pair goes through the same floating-point operations as
     the expression above, so the counts, and the printed bytes, are those
     of evaluating it on the retained pairs alone.
+
+    The caller counts the even blocks and one helper thread the odd ones;
+    the sums of their integer counts do not depend on how the two threads
+    interleave.  An exception in either (an interrupt, say) stops the
+    other at its next slice, and is raised here once the helper has ended.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    n_cond = 0
-    n_pos = 0
-    for _, u in uniform_blocks(seed, n_samples, 2, _SLICE_TRIALS):
-        kept, positive = _sign_counts(u)
-        n_cond += kept
-        n_pos += positive
+    counts: list = [None, None]  # (retained, positive), or what was raised
+    failed = threading.Event()  # either thread stops at its next slice
+
+    def count(parity: int) -> None:
+        try:
+            kept = positive = 0
+            for _, u in uniform_blocks(seed, n_samples, 2, _SLICE_TRIALS,
+                                       slice(parity, None, 2)):
+                if failed.is_set():
+                    return
+                k, p = _sign_counts(u)
+                kept += k
+                positive += p
+            counts[parity] = kept, positive
+        except BaseException as exc:  # raised by the caller, after the join
+            counts[parity] = exc
+            failed.set()
+
+    helper = threading.Thread(target=count, args=(1,), name="theorem1-odd-blocks")
+    helper.start()
+    try:
+        count(0)
+    finally:
+        helper.join()
+    for result in counts:
+        if isinstance(result, BaseException):
+            raise result
+    n_cond, n_pos = map(sum, zip(*counts))
     if n_cond == 0:
         raise McError(f"no conditioned samples out of {n_samples}")
     frac = n_pos / n_cond

@@ -120,10 +120,6 @@ class RecallTrials:
     def __len__(self) -> int:
         return self.orders.shape[0]
 
-    @property
-    def n_items(self) -> int:
-        return self.orders.shape[1]
-
     def totals(self) -> np.ndarray:
         """Cumulative completion times by stage, per trial."""
         return np.cumsum(self.icts, axis=1)

@@ -266,6 +266,15 @@ class TestDependence:
                               "inf", "--steps", "3"], capsys)
         assert (code, out, err) == (1, "", "--tau-max must be finite, got inf\n")
 
+    def test_overflowing_default_tau_max_names_the_dist(self, capsys):
+        # 2 * quantile(0.999) overflows for so small a shape: the message
+        # blames the default, not a flag that was never passed, and numpy's
+        # overflow warning (an error in this suite) does not escape
+        code, out, err = run(["dependence", "--dist", "weibull:k=1e-9,u=1"], capsys)
+        assert (code, out, err) == (
+            1, "", "--tau-max: the default, 2 * quantile(0.999) of --dist "
+                   "weibull:k=1e-9,u=1, is inf; pass --tau-max\n")
+
     def test_negative_tau_min_usage_error(self, capsys):
         code, out, err = run(["dependence", "--dist", "exp:u=1", "--tau-min",
                               "-1", "--steps", "2"], capsys)
@@ -322,6 +331,12 @@ class TestStageSurvival:
         assert ("--steps must be >= 2" in err or "must exceed" in err
                 or err == "--t-max must be finite, got inf\n"
                 or err == f"{flags[0]} must be >= 0, got {float(flags[1])}\n")
+
+    def test_overflowing_default_t_max_names_the_dist(self, capsys):
+        code, out, err = run(["stage-survival", "--dist", "exp:u=1e-310"], capsys)
+        assert (code, out, err) == (
+            1, "", "--t-max: the default, 3 * typical_scale of --dist "
+                   "exp:u=1e-310, is inf; pass --t-max\n")
 
     def test_nan_cell_exit_2(self, capsys):
         code, out, err = run(["stage-survival", "--dist", "weibull:k=1000,u=1",
@@ -608,6 +623,44 @@ class TestStartup:
         done = subprocess.run([sys.executable, "-c", code, str(src)],
                               capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="counts threads in /proc")
+    @pytest.mark.parametrize("preset", [None, "2"])
+    def test_cli_import_starts_no_blas_thread(self, preset):
+        # only a fresh interpreter can tell: this one has loaded numpy
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+                "import archlab.cli; "
+                "print(len(os.listdir('/proc/self/task')), "
+                "os.environ['OPENBLAS_NUM_THREADS'])")
+        done = subprocess.run([sys.executable, "-c", code, str(src)], env=env,
+                              capture_output=True, text=True, check=True)
+        threads, setting = done.stdout.split()
+        if preset is None:
+            assert (threads, setting) == ("1", "1")
+        else:  # a user's own setting wins
+            assert setting == preset
+
+    @pytest.mark.parametrize("argv", [
+        ["theorem1", "--n", str(2 * mc.BLOCK_TRIALS + 9)],
+        ["simulate", "serial", "--dist", "weibull:k=0.7,u=1", "--n", "3000"],
+        ["figure", "fig6", "--steps", "12"],
+    ], ids=["theorem1", "simulate serial", "figure fig6"])
+    def test_command_stderr_is_empty_under_W_error(self, argv):
+        # this suite turns warnings into errors in its own process only; a
+        # child prints its warnings, and a helper thread's unhandled
+        # exception, on stderr
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "archlab.cli",
+                               *argv], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout
 
     # Prints, last, the archlab submodules and whether json is loaded after
     # the body runs in a fresh interpreter; argv[1] is src/, argv[2:] the

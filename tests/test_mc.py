@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -162,6 +164,88 @@ class TestTheorem1InPlace:
         assert mc._sign_counts(u[[0, 57, 199]]) == (0, 0)
         kept, _ = mc._sign_counts(u)
         assert kept == mc._sign_counts(np.delete(u, [0, 57, 199], axis=0))[0]
+
+
+class TestTheorem1Threads:
+    """The caller counts the even blocks and a helper thread the odd ones."""
+
+    B = mc.BLOCK_TRIALS
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("n", [1, 8191, 8193, B - 1, B, B + 1,
+                                   2 * B + 9, 5 * B + 3])
+    def test_counts_equal_the_one_thread_sum(self, n, seed, monkeypatch):
+        kept, positive = map(sum, zip(*(
+            mc._sign_counts(u) for _, u in
+            mc.uniform_blocks(seed, n, 2, mc._SLICE_TRIALS))))
+        threads = set()
+        sign_counts = mc._sign_counts
+
+        def spy(u):
+            threads.add(threading.get_ident())
+            return sign_counts(u)
+
+        monkeypatch.setattr(mc, "_sign_counts", spy)
+        res = mc.run_theorem1_mc(n, seed)
+        assert (res.n_conditioned, res.fraction_positive) == (kept, positive / kept)
+        # a run of more than one block counts its odd blocks off the caller
+        assert len(threads) == min(2, -(-n // self.B))
+
+    def test_caller_exception_stops_the_helper(self, monkeypatch):
+        # an interrupt, say, must not wait for the helper's half of the run
+        helper_slices = []
+        sign_counts = mc._sign_counts
+
+        def fail_on_main(u):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            helper_slices.append(len(u))
+            return sign_counts(u)
+
+        monkeypatch.setattr(mc, "_sign_counts", fail_on_main)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            mc.run_theorem1_mc(40 * self.B, 1)
+        assert threading.active_count() == before
+        assert len(helper_slices) < 20 * self.B // mc._SLICE_TRIALS
+
+    def test_concurrent_callers_under_fast_switching(self):
+        # four callers and their helpers: more threads than cores, and a
+        # thread switch every few microseconds
+        n = 3 * self.B + 5
+        expected = {seed: mc.run_theorem1_mc(n, seed) for seed in range(4)}
+        got = {}
+        callers = [threading.Thread(
+            target=lambda seed=seed: got.__setitem__(seed, mc.run_theorem1_mc(n, seed)))
+            for seed in expected]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == expected
+
+    def test_helper_exception_is_raised_by_the_caller(self, monkeypatch):
+        raised = []
+        sign_counts = mc._sign_counts
+
+        def fail_off_main(u):
+            if threading.current_thread() is not threading.main_thread():
+                raised.append(RuntimeError("odd block failed"))
+                raise raised[-1]
+            return sign_counts(u)
+
+        monkeypatch.setattr(mc, "_sign_counts", fail_off_main)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="odd block failed") as info:
+            mc.run_theorem1_mc(2 * self.B, 1)
+        assert len(raised) == 1 and info.value is raised[0]
+        assert threading.active_count() == before
 
 
 class TestSimulateSerial:
