@@ -40,27 +40,16 @@ _SCI, _LAYOUTS = 21, 22 * 34
 
 
 def _pow10_dd(k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """10^k for k in [k_lo, k_hi] as normalised double-doubles (hi, lo),
-    within about 2^-104: the steps 10^(22 j) from exact integer ratios,
-    times the exact doubles 10^0..10^21 by Dekker's exact product."""
-    steps = range(k_lo // 22, k_hi // 22 + 1)
-    big = []
-    for j in steps:
-        num, den = (10 ** (22 * j), 1) if j >= 0 else (1, 10 ** (-22 * j))
-        hi = num / den  # int true division rounds correctly
-        a, b = hi.as_integer_ratio()
-        big.append((hi, (num * b - a * den) / (den * b)))
-    (b_hi, b_lo), small = np.array(big).T[:, :, None], np.array(
-        [float(10 ** i) for i in range(22)])
-    split = [(c - (c - v), v - (c - (c - v))) for v in (b_hi, small)
-             for c in [_VELTKAMP * v]]
-    (h1, h2), (s1, s2) = split
-    prod = b_hi * small
-    tail = ((h1 * s1 - prod) + h1 * s2 + h2 * s1) + h2 * s2 + b_lo * small
-    hi = prod + tail
-    lo = tail - (hi - prod)
-    keep = slice(k_lo - 22 * steps[0], k_hi - 22 * steps[0] + 1)
-    return hi.ravel()[keep], lo.ravel()[keep]
+    """10^k for k in [k_lo, k_hi] as normalised double-doubles (hi, lo)
+    from exact integer ratios: int true division rounds correctly, so hi
+    is 10^k rounded and lo the rounded remainder 10^k - hi."""
+    hi, lo = np.empty(k_hi - k_lo + 1), np.empty(k_hi - k_lo + 1)
+    for i, k in enumerate(range(k_lo, k_hi + 1)):
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi[i] = x = num / den
+        a, b = x.as_integer_ratio()
+        lo[i] = (num * b - a * den) / (den * b)
+    return hi, lo
 
 
 @functools.cache

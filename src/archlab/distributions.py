@@ -36,11 +36,24 @@ from .errors import DistSpecError, DomainError, ExhaustedSurvivalError
 EPS_SURVIVAL = 1e-300
 
 
-def _first_bad(arr: np.ndarray, bad: np.ndarray, name: str) -> str:
+def _first_bad(values, bad, name: str) -> str:
     """``name[i]=x``: the index and value of the first ``bad`` element of
-    the array ``arr``, so that an error shows the element at fault."""
+    the array ``values`` in row-major order, so that an error shows the
+    element at fault; ``name=values`` for a scalar."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        return f"{name}={values!r}"
     i = np.unravel_index(int(np.argmax(bad)), arr.shape)
     return f"{name}[{', '.join(map(str, i))}]={float(arr[i])!r}"
+
+
+def _require(bad, error, message: str, **cells) -> None:
+    """Raise ``error(message)`` formatted with each named array of ``cells``
+    (all of ``bad``'s shape) at the first ``bad`` element in row-major order."""
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise error(message.format(**{name: float(np.asarray(v).flat[i])
+                                      for name, v in cells.items()}))
 
 
 def _prepare(t, name: str = "t"):
@@ -57,9 +70,28 @@ def _prepare_support(t, what: str):
     """:func:`_prepare` for a functional undefined before the support."""
     t_arr, scalar = _prepare(t)
     if np.any(t_arr < 0.0):
-        got = f"t={t!r}" if scalar else _first_bad(t_arr, t_arr < 0.0, "t")
-        raise DomainError(f"{what} undefined before the support: {got}")
+        raise DomainError(f"{what} undefined before the support: "
+                          f"{_first_bad(t, t_arr < 0.0, 't')}")
     return t_arr, scalar
+
+
+def _prepare_level(q):
+    """:func:`_prepare` for a quantile level, which must be in [0, 1)."""
+    q_arr, scalar = _prepare(q, "q")
+    bad = (q_arr < 0.0) | (q_arr >= 1.0)
+    if np.any(bad):
+        got = repr(q) if scalar else _first_bad(q_arr, bad, "q")
+        raise DomainError(f"quantile level must be in [0, 1), got {got}")
+    return q_arr, scalar
+
+
+def _require_survival(s, t, what: str, note: str = "") -> None:
+    """Raise :class:`ExhaustedSurvivalError` at the first ``t`` whose
+    survival ``s`` is at most EPS_SURVIVAL, where ``what`` is undefined."""
+    exhausted = np.asarray(s) <= EPS_SURVIVAL
+    if np.any(exhausted):
+        raise ExhaustedSurvivalError(f"{what} undefined: exhausted survival at "
+                                     f"{_first_bad(t, exhausted, 't')}{note}")
 
 
 def _ret(arr, scalar: bool):
@@ -96,18 +128,14 @@ class ProcessingTimeDistribution(ABC):
         """h(t) = f(t) / S(t); raises once survival is exhausted."""
         t_arr, scalar = _prepare_support(t, "hazard")
         s = np.asarray(self.survival(t_arr))
-        if np.any(s <= EPS_SURVIVAL):
-            raise ExhaustedSurvivalError(
-                f"hazard undefined: exhausted survival at t={t!r}")
+        _require_survival(s, t, "hazard")
         return _ret(np.asarray(self.pdf(t_arr)) / s, scalar)
 
     def cum_hazard(self, t):
         """H(t) = -ln S(t)."""
         t_arr, scalar = _prepare_support(t, "cumulative hazard")
         s = np.asarray(self.survival(t_arr))
-        if np.any(s <= EPS_SURVIVAL):
-            raise ExhaustedSurvivalError(
-                f"cumulative hazard undefined: exhausted survival at t={t!r}")
+        _require_survival(s, t, "cumulative hazard")
         return _ret(-np.log(s), scalar)
 
     def exhausted(self, t):
@@ -124,9 +152,7 @@ class ProcessingTimeDistribution(ABC):
         tolerance ``1e-10 * typical_scale``; safe because F is monotone.
         All levels are bisected at once, each frozen once its bracket is.
         """
-        q_arr, scalar = _prepare(q, "q")
-        if np.any((q_arr < 0.0) | (q_arr >= 1.0)):
-            raise DomainError(f"quantile level must be in [0, 1), got {q!r}")
+        q_arr, scalar = _prepare_level(q)
         q = q_arr.reshape(-1)
         lo = np.zeros(q.size)
         hi = np.full(q.size, float(self.typical_scale))
@@ -244,9 +270,7 @@ class Weibull(ProcessingTimeDistribution):
         return False if scalar else np.zeros(t_arr.shape, dtype=bool)
 
     def quantile(self, q):
-        q_arr, scalar = _prepare(q, "q")
-        if np.any((q_arr < 0.0) | (q_arr >= 1.0)):
-            raise DomainError(f"quantile level must be in [0, 1), got {q!r}")
+        q_arr, scalar = _prepare_level(q)
         out = (-np.log1p(-q_arr)) ** (1.0 / self.k) / self.u
         return _ret(out, scalar)
 
@@ -298,24 +322,21 @@ class Uniform(ProcessingTimeDistribution):
 
     def hazard(self, t):
         t_arr, scalar = _prepare_support(t, "hazard")
-        s = 1.0 - np.clip(t_arr / self.v, 0.0, 1.0)
-        if np.any(s <= EPS_SURVIVAL):
-            raise ExhaustedSurvivalError(
-                f"hazard undefined: exhausted survival at t={t!r} (v={self.v})")
+        _require_survival(1.0 - np.clip(t_arr / self.v, 0.0, 1.0), t, "hazard",
+                          f" (v={self.v})")
         return _ret(1.0 / (self.v - t_arr), scalar)
 
     def cum_hazard(self, t):
         """-ln(v - t) + ln v, valid for t < v only."""
         t_arr, scalar = _prepare_support(t, "cumulative hazard")
         if np.any(t_arr >= self.v):
-            raise DomainError(
-                f"cumulative hazard undefined at t={t!r}: support ends at v={self.v}")
+            raise DomainError(f"cumulative hazard undefined at "
+                              f"{_first_bad(t, t_arr >= self.v, 't')}: "
+                              f"support ends at v={self.v}")
         return _ret(-np.log1p(-t_arr / self.v), scalar)
 
     def quantile(self, q):
-        q_arr, scalar = _prepare(q, "q")
-        if np.any((q_arr < 0.0) | (q_arr >= 1.0)):
-            raise DomainError(f"quantile level must be in [0, 1), got {q!r}")
+        q_arr, scalar = _prepare_level(q)
         return _ret(q_arr * self.v, scalar)
 
     def breakpoints(self) -> tuple[float, ...]:

@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Callable, Iterator
 import numpy as np
 
 from .errors import ConditioningError, DomainError, McError
-from .numerics import write_table
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .distributions import ProcessingTimeDistribution
@@ -135,9 +134,6 @@ class Trials:
         return (np.arange(start, start + len(self)),
                 _ORDERS.take(self.order_b_first.view(np.uint8)),
                 self.t1, self.t2, self.total_a, self.total_b)
-
-    def to_csv(self, out) -> None:
-        write_table(out, self.columns, self.table())
 
 
 def _serial(model: "SerialTwoModel", u) -> tuple[np.ndarray, ...]:

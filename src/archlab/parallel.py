@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ProcessingTimeDistribution
+from .distributions import ProcessingTimeDistribution, _require
 from .errors import (ConditioningError, DomainError, ExhaustedSurvivalError,
                      GridEvalError)
 from .numerics import classify_sign, write_table
@@ -55,10 +55,10 @@ def parallel_dependence_difference(model: ParallelTwoModel, tau):
     numerically.  A scalar ``tau`` gives a float, an array of tau an array.
     """
     tau, _, shape = _cells(tau, 0.0, "tau must be finite and nonnegative, "
-                                     "got tau={!r}")
+                                     "got tau={t!r}")
     f_val = model.dist.cdf(tau)
-    _require(f_val <= 0.0, tau, tau, ConditioningError,
-             "conditioning on null event: P(completion by tau={!r}) = 0")
+    _require(f_val <= 0.0, ConditioningError,
+             "conditioning on null event: P(completion by tau={tau!r}) = 0", tau=tau)
     return _shaped(f_val * f_val / f_val - f_val, shape)  # joint / F - F
 
 
@@ -77,7 +77,7 @@ def conditional_ict_survival(model: ParallelTwoModel, t_a, t):
                                                  model.dist.exhausted(t_a))
     with np.errstate(invalid="ignore"):  # inf - inf where H(T_a) overflows
         out = np.where(inside, _exp(-(h_at - h_a)), 0.0)
-    _require(exhausted | np.isnan(out), t, t_a, ConditioningError, _EXHAUSTED)
+    _require(exhausted | np.isnan(out), ConditioningError, _EXHAUSTED, t=t, T_a=t_a)
     return _shaped(out, shape)
 
 
@@ -91,8 +91,8 @@ def ict_survival_trend(model: ParallelTwoModel, t_a, t):
     """
     t, t_a, shape = _cells(t, t_a)
     h_a, h_b = _hazard(model.dist, t_a), _hazard(model.dist, t_a + t)
-    _require(np.isnan(h_a) | np.isnan(h_b), t, t_a, DomainError,
-             "hazard undefined at t={!r}, T_a={!r}")
+    _require(np.isnan(h_a) | np.isnan(h_b), DomainError,
+             "hazard undefined at t={t!r}, T_a={T_a!r}", t=t, T_a=t_a)
     return _shaped(classify_sign(h_a - h_b, 1e-9 * (1.0 + abs(h_a) + abs(h_b))),
                    shape)
 
@@ -106,30 +106,18 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 def _cells(t, t_a, message: str = "t and T_a must be finite and nonnegative, "
-                                    "got t={!r}, T_a={!r}"):
+                                    "got t={t!r}, T_a={T_a!r}"):
     """(t, T_a) broadcast to one shape, flattened, and that shape; the first
     negative or non-finite cell raises ``DomainError(message)``."""
     t, t_a = np.broadcast_arrays(np.asarray(t, dtype=float),
                                  np.asarray(t_a, dtype=float))
     shape, t, t_a = t.shape, t.ravel(), t_a.ravel()
     _require(~(np.isfinite(t) & np.isfinite(t_a) & (t >= 0.0) & (t_a >= 0.0)),
-             t, t_a, DomainError, message)
+             DomainError, message, t=t, T_a=t_a)
     return t, t_a, shape
 
 
-_EXHAUSTED = "cumulative hazard undefined: exhausted survival at t={!r}, T_a={!r}"
-
-
-def _first(t, t_a, bad) -> tuple[float, float, int]:
-    """t, T_a and index of the first cell of ``bad`` in row-major order."""
-    i = int(np.argmax(bad))
-    return float(t[i]), float(t_a[i]), i
-
-
-def _require(bad, t, t_a, error, message: str) -> None:
-    """Raise ``error(message)`` formatted with the first ``bad`` cell."""
-    if bad.any():
-        raise error(message.format(*_first(t, t_a, bad)))
+_EXHAUSTED = "cumulative hazard undefined: exhausted survival at t={t!r}, T_a={T_a!r}"
 
 
 def _shaped(x: np.ndarray, shape: tuple[int, ...]):
@@ -172,8 +160,8 @@ def hazard_ratio_alpha(model: ParallelTwoModel, t, t_a):
     """
     t, t_a, shape = _cells(t, t_a)
     alpha = _alpha(model.dist, t, t_a)
-    _require(np.isnan(alpha), t, t_a, DomainError, "hazard ratio undefined at "
-             "t={!r}, T_a={!r}: h(t) is not positive or a hazard is undefined")
+    _require(np.isnan(alpha), DomainError, "hazard ratio undefined at t={t!r}, "
+             "T_a={T_a!r}: h(t) is not positive or a hazard is undefined", t=t, T_a=t_a)
     return _shaped(alpha, shape)
 
 
@@ -226,7 +214,7 @@ def stage_survival_gap(model: ParallelTwoModel, t, t_a) -> StageGap:
     """
     t, t_a, shape = _cells(t, t_a)
     gap, expr4, exhausted = _stage_gap(model.dist, t, t_a)
-    _require(exhausted, t, t_a, ExhaustedSurvivalError, _EXHAUSTED)
+    _require(exhausted, ExhaustedSurvivalError, _EXHAUSTED, t=t, T_a=t_a)
     return StageGap(gap=_shaped(gap, shape), expr4=_shaped(expr4, shape))
 
 
@@ -260,9 +248,6 @@ class StageSurvivalGrid:
 
     columns = ("t", "Ta", "alpha", "expr4", "gap", "sign")
 
-    def signs(self) -> list[str]:
-        return self.sign.tolist()
-
     def table(self) -> tuple[np.ndarray, ...]:
         return self.t, self.ta, self.alpha, self.expr4, self.gap, self.sign
 
@@ -286,8 +271,9 @@ def stage_survival_grid(model: ParallelTwoModel, t_values,
                                    indexing="ij"))
     gap, expr4, exhausted = _stage_gap(model.dist, t, ta)
     if np.isnan(expr4).any():
-        t_i, ta_i, i = _first(t, ta, np.isnan(expr4))
-        reason = _EXHAUSTED.format(t_i, ta_i) if exhausted[i] else "expr4 is nan"
+        i = int(np.argmax(np.isnan(expr4)))
+        t_i, ta_i = float(t[i]), float(ta[i])
+        reason = _EXHAUSTED.format(t=t_i, T_a=ta_i) if exhausted[i] else "expr4 is nan"
         raise GridEvalError(f"grid cell (t={t_i!r}, Ta={ta_i!r}) failed: {reason}",
                             point=(t_i, ta_i))
     return StageSurvivalGrid(model, t, ta, _alpha(model.dist, t, ta), expr4, gap,
@@ -317,7 +303,7 @@ def classify_stage_trend(model: ParallelTwoModel, t_values,
     and count as zero cells.
     """
     grid = stage_survival_grid(model, t_values, ta_values)
-    signs = grid.signs()
+    signs = grid.sign.tolist()
     n_pos, n_neg = signs.count("positive"), signs.count("negative")
     if n_pos and n_neg:
         trend = "mixed"

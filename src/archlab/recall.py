@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import DegenerateDataError, DomainError
 from .mc import _sample_run
-from .numerics import write_table
 
 _K_LO = 0.05
 _K_HI = 50.0
@@ -133,9 +132,6 @@ class RecallTrials:
         return (np.repeat(np.arange(start, start + n_trials), n),
                 np.tile(np.arange(1, n + 1), n_trials), self.orders.reshape(-1),
                 self.icts.reshape(-1), self.totals().reshape(-1))
-
-    def to_csv(self, out) -> None:
-        write_table(out, self.columns, self.table())
 
 
 def _vu_serial(model: RecallModel, u) -> tuple[np.ndarray, np.ndarray]:

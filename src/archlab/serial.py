@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import ProcessingTimeDistribution, Uniform, Weibull
+from .distributions import ProcessingTimeDistribution, Uniform, Weibull, _require
 from .errors import (ConditioningError, ConsistencyError, DomainError,
                      OrderingViolationError)
 from .numerics import classify_sign, convolve_cdf, write_table
@@ -81,23 +81,17 @@ def _checked_difference(model: SerialTwoModel, tau, f_val, conv, marginal_a,
     form; scalars or arrays, evaluated elementwise."""
     taus, f_val, conv, marginal_a, marginal_b = np.broadcast_arrays(
         tau, f_val, conv, marginal_a, marginal_b)
-    null = marginal_a <= 0.0
-    if np.any(null):
-        raise ConditioningError(
-            "conditioning on null event: P(completion of a by "
-            f"tau={float(taus[null][0])!r}) = 0")
+    _require(marginal_a <= 0.0, ConditioningError, "conditioning on null event: "
+             "P(completion of a by tau={tau!r}) = 0", tau=taus)
     quotient = conv / marginal_a - marginal_b
     pq = model.p * (1.0 - model.p)
     with np.errstate(divide="ignore", invalid="ignore"):  # conv below the floor
         root = np.sqrt(conv)
         factored = conv / marginal_a * (1.0 - f_val - pq * (root - f_val / root) ** 2)
-    disagree = (conv > _CONV_FLOOR) & (np.abs(quotient - factored) > ROUTE_AGREEMENT_TOL)
-    if np.any(disagree):
-        i = np.flatnonzero(disagree)[0]
-        raise ConsistencyError(
-            f"dependence routes disagree at tau={float(taus.flat[i])!r}: "
-            f"quotient={float(quotient.flat[i])!r}, "
-            f"factored={float(factored.flat[i])!r}")
+    _require((conv > _CONV_FLOOR) & (np.abs(quotient - factored) > ROUTE_AGREEMENT_TOL),
+             ConsistencyError, "dependence routes disagree at tau={tau!r}: "
+             "quotient={quotient!r}, factored={factored!r}",
+             tau=taus, quotient=quotient, factored=factored)
     return float(quotient) if quotient.ndim == 0 else quotient
 
 
@@ -122,19 +116,14 @@ def expression3(f_val, conv_val):
     """
     f_arr, conv_arr = np.broadcast_arrays(np.asarray(f_val, dtype=float),
                                           np.asarray(conv_val, dtype=float))
-
-    def require(ok, error, message):
-        if not np.all(ok):
-            i = np.flatnonzero(~ok)[0]
-            raise error(message.format(F=float(f_arr.flat[i]),
-                                       conv=float(conv_arr.flat[i])))
-
-    require(np.isfinite(f_arr), DomainError, "F must be finite, got {F}")
-    require(np.isfinite(conv_arr), DomainError, "conv must be finite, got {conv}")
-    require(conv_arr > 0.0, DomainError, "conv must be positive, got {conv}")
-    require(f_arr <= 1.0, DomainError, "F must be at most 1, got {F}")
-    require(conv_arr <= f_arr, OrderingViolationError,
-            "ordering violated: conv={conv} exceeds F={F}")
+    cells = {"F": f_arr, "conv": conv_arr}  # finite once the first two pass
+    _require(~np.isfinite(f_arr), DomainError, "F must be finite, got {F}", **cells)
+    _require(~np.isfinite(conv_arr), DomainError, "conv must be finite, got {conv}",
+             **cells)
+    _require(conv_arr <= 0.0, DomainError, "conv must be positive, got {conv}", **cells)
+    _require(f_arr > 1.0, DomainError, "F must be at most 1, got {F}", **cells)
+    _require(conv_arr > f_arr, OrderingViolationError,
+             "ordering violated: conv={conv} exceeds F={F}", **cells)
     root = np.sqrt(conv_arr)
     out = 1.0 - f_arr - 0.25 * (root - f_arr / root) ** 2
     return float(out) if out.ndim == 0 else out
@@ -156,9 +145,6 @@ class DependenceProfile:
 
     columns = ("tau", "F", "conv", "marginal_a", "marginal_b", "R",
                "difference", "sign")
-
-    def signs(self) -> list[str]:
-        return self.sign.tolist()
 
     def table(self) -> tuple[np.ndarray, ...]:
         return (self.tau, self.f, self.conv, self.marginal_a, self.marginal_b,

@@ -17,6 +17,7 @@ import numpy as np
 from . import mc, recall
 from .distributions import (Exponential, ProcessingTimeDistribution, Uniform,
                             Weibull)
+from .errors import ArchlabError
 from .numerics import ABS_TOL, classify_sign, convolve_cdf
 from .parallel import (ParallelTwoModel, alpha_extrema, conditional_ict_survival,
                        parallel_dependence_difference, stage_survival_gap)
@@ -434,7 +435,8 @@ _SUITES: dict[str, list[Callable[[], CheckResult]]] = {
 
 
 def run_suite(name: str) -> list[CheckResult]:
-    """Run one suite ('analysis', 'mc', 'recall') or 'all'."""
+    """Run one suite ('analysis', 'mc', 'recall') or 'all'.  A check that
+    raises an :class:`ArchlabError` fails, and the others still run."""
     if name == "all":
         names = ["analysis", "mc", "recall"]
     elif name in _SUITES:
@@ -445,5 +447,10 @@ def run_suite(name: str) -> list[CheckResult]:
     results = []
     for suite in names:
         for check in _SUITES[suite]:
-            results.append(check())
+            try:
+                results.append(check())
+            except ArchlabError as exc:
+                results.append(CheckResult(
+                    suite, check.__name__.removeprefix("_check_"), False,
+                    f"raised {type(exc).__name__}: {exc}"))
     return results

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from archlab import cli, mc, recall
+from archlab import cli, mc, recall, verify
 from archlab.distributions import Exponential, parse_spec
-from archlab.errors import DomainError
+from archlab.errors import ConsistencyError, DomainError
 from archlab.numerics import convolve_cdf, fmt17, write_table
 from archlab.parallel import ParallelTwoModel
 from archlab.serial import SerialTwoModel
@@ -561,6 +561,22 @@ class TestVerifyAndUsage:
         lines = out.strip().splitlines()
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
+
+    def test_verify_reports_a_check_that_raises(self, capsys, monkeypatch):
+        # the check fails with the error and the other checks still run
+        def disagree(model, taus):
+            raise ConsistencyError("dependence routes disagree at tau=0.5")
+
+        monkeypatch.setattr(verify, "dependence_profile", disagree)
+        code, out, _ = run(["verify", "--suite", "analysis"], capsys)
+        lines = out.splitlines()
+        assert code == 3
+        assert lines[:2] == [
+            f"FAIL analysis/{name}: raised ConsistencyError: dependence routes "
+            "disagree at tau=0.5"
+            for name in ("route_agreement", "fixed_order_nonnegative")]
+        assert len(lines) == 10 and lines[-1] == "7/9 checks passed"
+        assert all(line.startswith("PASS") for line in lines[2:-1])
 
 
 def _json_cells(value) -> str:

@@ -11,6 +11,7 @@ from archlab.distributions import (EPS_SURVIVAL, Exponential,
                                    Weibull, parse_spec)
 from archlab.errors import (DistSpecError, DomainError,
                             ExhaustedSurvivalError)
+from archlab.verify import _PdfCdfOnly
 
 
 def all_families(rng):
@@ -95,6 +96,28 @@ class TestErrors:
             Exponential(1.0).cdf(t)
         with pytest.raises(DomainError, match=re.escape("t must be finite, got inf")):
             Exponential(1.0).cdf(math.inf)
+
+    @pytest.mark.parametrize("dist, n_raising", [
+        (Weibull(2.0, 1.0), 12), (Uniform(1.0), 16),
+        (_PdfCdfOnly(Uniform(1.0)), 16)])
+    def test_every_array_error_names_its_element(self, dist, n_raising):
+        # 3000 values with element 1500 alone bad (nan, before the support,
+        # past it, or at the level 1): a method that rejects the array names
+        # that element, not numpy's elided repr of the whole array
+        unnamed, raised = [], 0
+        for method in ("pdf", "cdf", "survival", "hazard", "cum_hazard",
+                       "exhausted", "quantile"):
+            for bad in (math.nan, -1.0, 1.5, 1.0):
+                x = np.full(3000, 0.5)
+                x[1500] = bad
+                try:
+                    getattr(dist, method)(x)
+                except DomainError as exc:
+                    raised += 1
+                    if f"[1500]={bad!r}" not in str(exc):
+                        unnamed.append(f"{method}({bad!r}): {exc}")
+        assert unnamed == []
+        assert raised == n_raising
 
     def test_uniform_cum_hazard_domain(self):
         with pytest.raises(DomainError):

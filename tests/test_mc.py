@@ -9,7 +9,7 @@ from scipy import stats
 from archlab import mc, recall, traces
 from archlab.distributions import Exponential, Uniform, Weibull
 from archlab.errors import ConditioningError, DomainError, McError
-from archlab.numerics import convolve_cdf
+from archlab.numerics import convolve_cdf, write_table
 from archlab.parallel import ParallelTwoModel
 from archlab.recall import RecallModel
 from archlab.serial import SerialTwoModel, marginal_completion_cdf
@@ -385,8 +385,9 @@ class TestTraceCsv:
         model = SerialTwoModel(Exponential(1.0), 0.5)
         trials = mc.simulate_serial(model, 50, 1)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        trials.to_csv(str(p1))
-        mc.simulate_serial(model, 50, 1).to_csv(str(p2))
+        write_table(str(p1), trials.columns, trials.table())
+        again = mc.simulate_serial(model, 50, 1)
+        write_table(str(p2), again.columns, again.table())
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "trial,order,t1,t2,total_a,total_b"

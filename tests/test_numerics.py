@@ -318,9 +318,9 @@ class TestWriteTable:
         assert path.read_text() == self.reference(self.NAMES, self.cols(),
                                                   {"figure": "x"})
         trials = mc.simulate_serial(SerialTwoModel(Weibull(k=0.7, u=1.0), 0.5), 5, 1)
-        trials.to_csv(tmp_path / "trials.csv")
+        write_table(tmp_path / "trials.csv", trials.columns, trials.table())
         buf = io.StringIO()
-        trials.to_csv(buf)
+        write_table(buf, trials.columns, trials.table())
         assert (tmp_path / "trials.csv").read_text() == buf.getvalue()
 
     def assert_exact(self, *cols):

@@ -469,7 +469,7 @@ class TestClassifyTrend:
         grid = stage_survival_grid(model, *region)
         for sign, witness in (("positive", res.positive_witness),
                               ("negative", res.negative_witness)):
-            i = grid.signs().index(sign)
+            i = grid.sign.tolist().index(sign)
             assert witness == (grid.t[i], grid.ta[i], grid.gap[i])
         assert (res.n_positive + res.n_negative + res.n_zero) == grid.t.size
 

@@ -11,6 +11,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from archlab import mc, recall, verify
 from archlab.distributions import Exponential, Weibull
 from archlab.errors import DegenerateDataError, DomainError
+from archlab.numerics import write_table
 
 
 class TestOrderProbability:
@@ -154,7 +155,7 @@ class TestSamplers:
         model = recall.RecallModel((2.0, 1.0))
         trials = recall.sample_vu_serial(model, 3, 0)
         buf = io.StringIO()
-        trials.to_csv(buf)
+        write_table(buf, trials.columns, trials.table())
         lines = buf.getvalue().strip().split("\n")
         assert lines[0] == "trial,position,item,ict,cumulative_time"
         assert len(lines) == 7

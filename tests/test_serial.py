@@ -202,7 +202,7 @@ class TestProfile:
         model = SerialTwoModel(dist, 0.5)
         taus = dist.quantile(np.linspace(0.01, 0.999, 100))
         profile = dependence_profile(model, taus)
-        assert all(s == "positive" for s in profile.signs())
+        assert all(s == "positive" for s in profile.sign.tolist())
 
     def test_weibull_k02_grid_strictly_positive(self):
         # This surface is strictly positive over u in [0.5, 10],
@@ -211,7 +211,7 @@ class TestProfile:
         for u in (0.5, 2.0, 10.0):
             m = SerialTwoModel(Weibull(0.2, u), 0.5)
             profile = dependence_profile(m, np.linspace(0.01, 5.0, 25))
-            assert all(s == "positive" for s in profile.signs())
+            assert all(s == "positive" for s in profile.sign.tolist())
             assert profile.difference.min() > 0.01
 
     def test_weibull_k2_grid_never_positive(self):
@@ -220,8 +220,8 @@ class TestProfile:
         for u in (0.5, 2.0, 10.0):
             m = SerialTwoModel(Weibull(2.0, u), 0.5)
             profile = dependence_profile(m, np.linspace(0.01, 5.0, 25))
-            assert all(s in ("negative", "zero") for s in profile.signs())
-            assert any(s == "negative" for s in profile.signs())
+            assert all(s in ("negative", "zero") for s in profile.sign.tolist())
+            assert any(s == "negative" for s in profile.sign.tolist())
 
     @pytest.mark.parametrize("dist", [Weibull(0.5, 1.0), Weibull(2.0, 1.0),
                                       Uniform(1.0)])
