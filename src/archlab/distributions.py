@@ -39,10 +39,10 @@ EPS_SURVIVAL = 1e-300
 def _first_bad(values, bad, name: str) -> str:
     """``name[i]=x``: the index and value of the first ``bad`` element of
     the array ``values`` in row-major order, so that an error shows the
-    element at fault; ``name=values`` for a scalar."""
+    element at fault; ``name=x`` for a scalar."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0:
-        return f"{name}={values!r}"
+        return f"{name}={float(arr)!r}"
     i = np.unravel_index(int(np.argmax(bad)), arr.shape)
     return f"{name}[{', '.join(map(str, i))}]={float(arr[i])!r}"
 
@@ -61,7 +61,7 @@ def _prepare(t, name: str = "t"):
     arr = np.asarray(t, dtype=float)
     finite = np.isfinite(arr)
     if not np.all(finite):
-        got = repr(t) if arr.ndim == 0 else _first_bad(arr, ~finite, name)
+        got = repr(float(arr)) if arr.ndim == 0 else _first_bad(arr, ~finite, name)
         raise DomainError(f"{name} must be finite, got {got}")
     return arr, arr.ndim == 0
 
@@ -80,7 +80,7 @@ def _prepare_level(q):
     q_arr, scalar = _prepare(q, "q")
     bad = (q_arr < 0.0) | (q_arr >= 1.0)
     if np.any(bad):
-        got = repr(q) if scalar else _first_bad(q_arr, bad, "q")
+        got = repr(float(q_arr)) if scalar else _first_bad(q_arr, bad, "q")
         raise DomainError(f"quantile level must be in [0, 1), got {got}")
     return q_arr, scalar
 

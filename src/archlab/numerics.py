@@ -106,7 +106,7 @@ def _gauss_kronrod(fn, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
     total = np.zeros(n_cells)
     ok = np.ones(n_cells, dtype=bool)
     for level in range(MAX_DEPTH + 1):
-        centre = 0.5 * (lo + hi)
+        centre = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
         half = 0.5 * (hi - lo)
         fx = fn(centre[:, None] + half[:, None] * _NODES, cell)
         # einsum rather than a BLAS matmul, whose buffers add ~1 MB of RSS
@@ -156,7 +156,8 @@ def convolve_cdf(dist: ProcessingTimeDistribution, tau):
     taus = np.asarray(tau, dtype=float)
     for bad, what in ((~np.isfinite(taus), "finite"), (taus < 0, "nonnegative")):
         if np.any(bad):
-            got = tau if taus.ndim == 0 else _first_bad(taus, bad, "tau")
+            got = (repr(float(taus)) if taus.ndim == 0
+                   else _first_bad(taus, bad, "tau"))
             raise DomainError(f"tau must be {what}, got {got}")
 
     if isinstance(dist, Exponential):

@@ -55,6 +55,8 @@ class RecallModel:
             raise DomainError("need at least one rate")
         if any(not (r > 0 and math.isfinite(r)) for r in self.rates):
             raise DomainError(f"all rates must be positive, got {self.rates}")
+        if not math.isfinite(sum(self.rates)):
+            raise DomainError(f"rates must have a finite sum, got {self.rates}")
 
     @property
     def n(self) -> int:

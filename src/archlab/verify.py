@@ -1,8 +1,9 @@
 """Self-verification suites behind the CLI ``verify`` command.
 
 Each check computes a measured quantity, compares it with an analytic or
-statistical bound, and reports pass/fail plus the measurement.  Checks are
-grouped into three suites (analysis, mc, recall); ``all`` runs them all.
+statistical bound, and returns (passed, detail), the detail giving the
+measurement.  Checks are grouped into three suites (analysis, mc, recall);
+``all`` runs them all.
 Everything is seeded, so results are reproducible.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -22,7 +24,7 @@ from .numerics import ABS_TOL, classify_sign, convolve_cdf
 from .parallel import (ParallelTwoModel, alpha_extrema, conditional_ict_survival,
                        parallel_dependence_difference, stage_survival_gap)
 from .serial import (SerialTwoModel, dependence_difference, dependence_profile,
-                     marginal_completion_cdf)
+                     fixed_order_covariance, marginal_completion_cdf)
 
 _VERIFY_SEED = 0x5EED_2024
 
@@ -46,7 +48,7 @@ def _random_dist(rng: np.random.Generator):
 
 # ---------------------------------------------------------------- analysis
 
-def _check_route_agreement() -> CheckResult:
+def _quotient_vs_factored_agreement() -> tuple[bool, str]:
     rng = np.random.default_rng(_VERIFY_SEED)
     worst = 0.0
     for _ in range(500):
@@ -58,11 +60,10 @@ def _check_route_agreement() -> CheckResult:
         factored = prof.r[0] * (1.0 - f_val
                                 - p * (1.0 - p) * (root - f_val / root) ** 2)
         worst = max(worst, abs(prof.difference[0] - factored))
-    return CheckResult("analysis", "quotient_vs_factored_agreement",
-                       worst <= 1e-9, f"max |route gap| = {worst:.3e} (tol 1e-9)")
+    return worst <= 1e-9, f"max |route gap| = {worst:.3e} (tol 1e-9)"
 
 
-def _check_fixed_order_nonnegative() -> CheckResult:
+def _single_order_nonnegative() -> tuple[bool, str]:
     rng = np.random.default_rng(_VERIFY_SEED + 1)
     worst_neg = 0.0
     worst_gap = 0.0
@@ -75,9 +76,8 @@ def _check_fixed_order_nonnegative() -> CheckResult:
         worst_neg = min(worst_neg, diff)
         worst_gap = max(worst_gap, abs(diff - prof.r[0] * (1.0 - prof.f[0])))
     ok = worst_neg >= -1e-9 and worst_gap <= 1e-9
-    return CheckResult("analysis", "single_order_nonnegative",
-                       ok, f"min diff = {worst_neg:.3e}, "
-                           f"max |diff - R(1-F)| = {worst_gap:.3e}")
+    return ok, (f"min diff = {worst_neg:.3e}, "
+                f"max |diff - R(1-F)| = {worst_gap:.3e}")
 
 
 def _weibull2_conv(u: float, taus: np.ndarray) -> np.ndarray:
@@ -106,7 +106,7 @@ class _PdfCdfOnly(ProcessingTimeDistribution):
         return self.dist.breakpoints()
 
 
-def _check_conv_closed_forms() -> CheckResult:
+def _convolution_closed_forms() -> tuple[bool, str]:
     worst = 0.0
     # neither Weibull(1, u) nor the wrapper has a closed form: both integrate
     for dist, numeric, hi in ((Exponential(1.3), Weibull(1.0, 1.3), 6.0),
@@ -118,29 +118,23 @@ def _check_conv_closed_forms() -> CheckResult:
     taus = taus[1.3 * taus >= 0.05]
     worst = max(worst, float(np.max(np.abs(
         _weibull2_conv(1.3, taus) - convolve_cdf(Weibull(2.0, 1.3), taus)))))
-    return CheckResult("analysis", "convolution_closed_forms", worst <= ABS_TOL,
-                       f"max |closed - numeric| = {worst:.3e} (tol {ABS_TOL:g})")
+    return worst <= ABS_TOL, f"max |closed - numeric| = {worst:.3e} (tol {ABS_TOL:g})"
 
 
-def _check_conv_bounds() -> CheckResult:
+def _convolution_ordering() -> tuple[bool, str]:
     rng = np.random.default_rng(_VERIFY_SEED + 2)
-    ok = True
-    detail = ""
     for _ in range(30):
         dist = _random_dist(rng)
         taus = np.linspace(0.0, float(dist.quantile(0.995)), 40)
         convs = convolve_cdf(dist, taus)
         if np.any(np.diff(convs) < -1e-12):
-            ok, detail = False, f"conv not monotone for {dist!r}"
-            break
+            return False, f"conv not monotone for {dist!r}"
         if np.any(convs > dist.cdf(taus) + 1e-12):
-            ok, detail = False, f"conv exceeds F for {dist!r}"
-            break
-    return CheckResult("analysis", "convolution_ordering",
-                       ok, detail or "monotone and conv <= F on 30 models")
+            return False, f"conv exceeds F for {dist!r}"
+    return True, "monotone and conv <= F on 30 models"
 
 
-def _check_parallel_zero() -> CheckResult:
+def _parallel_difference_zero() -> tuple[bool, str]:
     rng = np.random.default_rng(_VERIFY_SEED + 3)
     worst = 0.0
     for _ in range(500):
@@ -150,11 +144,10 @@ def _check_parallel_zero() -> CheckResult:
             continue
         worst = max(worst, abs(parallel_dependence_difference(
             ParallelTwoModel(dist), tau)))
-    return CheckResult("analysis", "parallel_difference_zero",
-                       worst <= 1e-12, f"max |difference| = {worst:.3e} (tol 1e-12)")
+    return worst <= 1e-12, f"max |difference| = {worst:.3e} (tol 1e-12)"
 
 
-def _check_gap_sign_consistency() -> CheckResult:
+def _gap_expr4_sign_consistency() -> tuple[bool, str]:
     contradictions = 0
     points = 0
     for model, t_hi in ((ParallelTwoModel(Weibull(2.0, 1.0)), 10.0),
@@ -166,12 +159,10 @@ def _check_gap_sign_consistency() -> CheckResult:
         points += sg.size
         contradictions += int(np.count_nonzero(
             (sg != se) & (sg != "zero") & (se != "zero")))
-    return CheckResult("analysis", "gap_expr4_sign_consistency",
-                       contradictions == 0,
-                       f"{contradictions} contradictions over {points} points")
+    return contradictions == 0, f"{contradictions} contradictions over {points} points"
 
 
-def _check_hazard_ratio_threshold() -> CheckResult:
+def _stage_gap_hazard_ratio_threshold() -> tuple[bool, str]:
     violations, checked = 0, 0
     for model, t_hi in ((ParallelTwoModel(Weibull(2.0, 1.0)), 6.0),
                         (ParallelTwoModel(Weibull(0.5, 1.0)), 6.0),
@@ -184,12 +175,10 @@ def _check_hazard_ratio_threshold() -> CheckResult:
         wrong = ((a_min >= 2.0) & (gaps < -1e-9)) | ((a_max < 2.0) & (gaps >= 1e-9))
         checked += int(np.count_nonzero(classified))
         violations += int(np.count_nonzero(classified & wrong))
-    return CheckResult("analysis", "stage_gap_hazard_ratio_threshold",
-                       violations == 0,
-                       f"{violations} violations over {checked} classified points")
+    return violations == 0, f"{violations} violations over {checked} classified points"
 
 
-def _check_conditional_survival_monotone() -> CheckResult:
+def _conditional_survival_monotone_in_Ta() -> tuple[bool, str]:
     worst = 0.0
     ta, t = np.linspace(0.0, 4.0, 50), np.array([[0.3], [1.0], [2.5]])
     for k in (0.3, 0.5, 0.8):
@@ -198,26 +187,23 @@ def _check_conditional_survival_monotone() -> CheckResult:
     spread = float(np.ptp(conditional_ict_survival(
         ParallelTwoModel(Exponential(1.3)), np.linspace(0.0, 5.0, 50), 0.7)))
     ok = worst >= -1e-12 and spread <= 1e-12
-    return CheckResult("analysis", "conditional_survival_monotone_in_Ta",
-                       ok, f"min increment = {worst:.3e}, "
-                           f"memoryless spread = {spread:.3e}")
+    return ok, f"min increment = {worst:.3e}, memoryless spread = {spread:.3e}"
 
 
-def _check_uniform_regimes() -> CheckResult:
+def _uniform_three_regimes() -> tuple[bool, str]:
     diff = dependence_difference(SerialTwoModel(Uniform(1.0), 0.5), np.concatenate(
         [[0.5, 5.0 / 6.0], np.linspace(1.0, 1.999, 25), [2.0, 2.5, 3.0]]))
     half, five_sixth = diff[0], diff[1]
     mid, beyond = diff[2:-3].max(), np.abs(diff[-3:]).max()
     ok = (abs(half - 0.0875) < 1e-9 and five_sixth < 0
           and mid <= 1e-9 and beyond <= 1e-9)
-    return CheckResult("analysis", "uniform_three_regimes",
-                       ok, f"diff(v/2)={half:.6f}, diff(5v/6)={five_sixth:.6f}, "
-                           f"max mid={mid:.2e}, max beyond={beyond:.2e}")
+    return ok, (f"diff(v/2)={half:.6f}, diff(5v/6)={five_sixth:.6f}, "
+                f"max mid={mid:.2e}, max beyond={beyond:.2e}")
 
 
 # ---------------------------------------------------------------- mc
 
-def _check_theorem1_fraction() -> CheckResult:
+def _order_constrained_sign_fraction() -> tuple[bool, str]:
     # A pair is kept with probability int_0^1 da / (1 + sqrt a) = 2 (1 - ln 2),
     # and kept and positive with int_0^1 sqrt(a) / (1 + sqrt a) da = 2 ln 2 - 1.
     n = 1_000_000
@@ -228,15 +214,13 @@ def _check_theorem1_fraction() -> CheckResult:
         exact * (1.0 - exact) / res.n_conditioned)
     z_kept = abs(res.n_conditioned - n * p_keep) / math.sqrt(
         n * p_keep * (1.0 - p_keep))
-    return CheckResult("mc", "order_constrained_sign_fraction",
-                       z_frac <= 4.0 and z_kept <= 4.0,
-                       f"fraction = {res.fraction_positive:.5f} is "
-                       f"{z_frac:.2f} sigma from exact {exact:.7f}, "
-                       f"n_conditioned = {res.n_conditioned} is {z_kept:.2f} "
-                       f"sigma from n 2(1 - ln 2) (bound 4 sigma)")
+    return z_frac <= 4.0 and z_kept <= 4.0, (
+        f"fraction = {res.fraction_positive:.5f} is {z_frac:.2f} sigma from "
+        f"exact {exact:.7f}, n_conditioned = {res.n_conditioned} is "
+        f"{z_kept:.2f} sigma from n 2(1 - ln 2) (bound 4 sigma)")
 
 
-def _check_theorem1_stability() -> CheckResult:
+def _sign_fraction_seed_stability() -> tuple[bool, str]:
     runs = [mc.run_theorem1_mc(1_000_000, s) for s in (11, 23, 37, 41, 53)]
     worst = 0.0
     ok = True
@@ -246,11 +230,10 @@ def _check_theorem1_stability() -> CheckResult:
             bound = 4.0 * math.hypot(runs[i].stderr, runs[j].stderr)
             worst = max(worst, gap / bound)
             ok = ok and gap <= bound
-    return CheckResult("mc", "sign_fraction_seed_stability",
-                       ok, f"max pairwise gap = {worst:.2f} x its 4-sigma bound")
+    return ok, f"max pairwise gap = {worst:.2f} x its 4-sigma bound"
 
 
-def _check_determinism() -> CheckResult:
+def _bitwise_determinism() -> tuple[bool, str]:
     a = mc.run_theorem1_mc(200_000, 99)
     b = mc.run_theorem1_mc(200_000, 99)
     tr1 = mc.simulate_serial(SerialTwoModel(Exponential(1.0), 0.3), 150_000, 7)
@@ -258,9 +241,8 @@ def _check_determinism() -> CheckResult:
     same = (a == b and np.array_equal(tr1.total_a, tr2.total_a)
             and np.array_equal(tr1.total_b, tr2.total_b)
             and np.array_equal(tr1.order_b_first, tr2.order_b_first))
-    return CheckResult("mc", "bitwise_determinism", same,
-                       "identical seeds reproduce identical outputs" if same
-                       else "outputs differ between identical runs")
+    return same, ("identical seeds reproduce identical outputs" if same
+                  else "outputs differ between identical runs")
 
 
 def _cdf_z(draws: np.ndarray, taus: np.ndarray, cdf: np.ndarray) -> float:
@@ -270,7 +252,7 @@ def _cdf_z(draws: np.ndarray, taus: np.ndarray, cdf: np.ndarray) -> float:
     return float(np.max(np.abs(emp - cdf) / (3.0 * sigma)))
 
 
-def _check_serial_marginals() -> CheckResult:
+def _serial_marginal_matches_analytic() -> tuple[bool, str]:
     worst = 0.0
     for dist in (Weibull(1.7, 2.0), Exponential(1.0), Uniform(2.0)):
         model = SerialTwoModel(dist, 0.35)
@@ -278,48 +260,40 @@ def _check_serial_marginals() -> CheckResult:
         taus = dist.quantile(np.linspace(0.08, 0.95, 10)) * 1.5
         worst = max(worst, _cdf_z(trials.total_a, taus,
                                   marginal_completion_cdf(model, "a", taus)))
-    return CheckResult("mc", "serial_marginal_matches_analytic",
-                       worst <= 1.0, f"max |emp - analytic| = {worst:.2f} x its "
-                                     "3-sigma bound over 3 families x 10 points")
+    return worst <= 1.0, (f"max |emp - analytic| = {worst:.2f} x its 3-sigma "
+                          "bound over 3 families x 10 points")
 
 
-def _check_parallel_cov() -> CheckResult:
+def _parallel_total_covariance_zero() -> tuple[bool, str]:
     trials = mc.simulate_parallel(ParallelTwoModel(Exponential(1.0)), 1_000_000, 77)
     cov = float(np.cov(trials.total_a, trials.total_b, ddof=1)[0, 1])
     # independent exponentials: Var(cov_hat) ~ Var(a) Var(b) / n
     sigma = 1.0 / math.sqrt(len(trials))
     ok = abs(cov) <= 3.0 * sigma
-    return CheckResult("mc", "parallel_total_covariance_zero",
-                       ok, f"cov = {cov:.2e} (3 sigma = {3 * sigma:.2e})")
+    return ok, f"cov = {cov:.2e} (3 sigma = {3 * sigma:.2e})"
 
 
-def _check_fixed_order_covariance() -> CheckResult:
-    from .serial import fixed_order_covariance
+def _fixed_order_cov_equals_stage_variance() -> tuple[bool, str]:
     worst = 0.0
     for dist in (Weibull(1.4, 1.5), Exponential(1.0), Uniform(1.0)):
         res = fixed_order_covariance(dist, 1_000_000, 4242)
         sigma = res.var_t1_estimate / math.sqrt(res.n_trials)
         worst = max(worst, abs(res.cov_estimate - res.var_t1_estimate) / (3 * sigma))
-    return CheckResult("mc", "fixed_order_cov_equals_stage_variance",
-                       worst <= 1.0,
-                       f"max |cov - var| = {worst:.2f} x its 3-sigma bound")
+    return worst <= 1.0, f"max |cov - var| = {worst:.2f} x its 3-sigma bound"
 
 
-def _check_conv_mc_oracle() -> CheckResult:
+def _convolution_matches_simulation() -> tuple[bool, str]:
     worst = 0.0
     for dist in (Weibull(0.7, 1.0), Exponential(2.0), Uniform(1.5)):
         sums = np.add(*mc.sample_iid(dist, 1_000_000, 2, 55).T)  # z1 + z2
         taus = 2.0 * dist.quantile(np.linspace(0.1, 0.9, 10))
         worst = max(worst, _cdf_z(sums, taus, convolve_cdf(dist, taus)))
-    return CheckResult("mc", "convolution_matches_simulation",
-                       worst <= 1.0, f"max |emp - conv| = {worst:.2f} x its "
-                                     "3-sigma bound")
+    return worst <= 1.0, f"max |emp - conv| = {worst:.2f} x its 3-sigma bound"
 
 
 # ---------------------------------------------------------------- recall
 
-def _check_perm_sum() -> CheckResult:
-    from itertools import permutations
+def _order_probabilities_normalize() -> tuple[bool, str]:
     rng = np.random.default_rng(_VERIFY_SEED + 9)
     worst = 0.0
     for n in range(1, 7):
@@ -328,15 +302,13 @@ def _check_perm_sum() -> CheckResult:
         total = sum(recall.vu_order_probability(model, p)
                     for p in permutations(range(n)))
         worst = max(worst, abs(total - 1.0))
-    return CheckResult("recall", "order_probabilities_normalize",
-                       worst <= 1e-12, f"max |sum - 1| = {worst:.3e}")
+    return worst <= 1e-12, f"max |sum - 1| = {worst:.3e}"
 
 
-def _check_equivalence() -> CheckResult:
+def _serial_parallel_equivalence() -> tuple[bool, str]:
     # Each sampler against the exact law, so that an error both share shows
     # too.  Given the order, stage j lasts Exp(R_j), R_j the sum of the rates
     # not yet recalled, so u = 1 - exp(-R_j t_j) is Uniform(0, 1).
-    from itertools import permutations
     rng = np.random.default_rng(_VERIFY_SEED + 10)
     n_trials = 100_000
     z = []
@@ -359,13 +331,12 @@ def _check_equivalence() -> CheckResult:
             z.extend((np.bincount(d, minlength=10) - n_trials / 10)
                      / math.sqrt(0.09 * n_trials) for d in deciles.T)
     worst = float(np.max(np.abs(np.concatenate(z))))
-    return CheckResult("recall", "serial_parallel_equivalence",
-                       worst <= 4.0, f"max |z| = {worst:.2f} over the order counts "
-                                     "and per-stage deciles of both samplers "
-                                     "against the exact law (bound 4 sigma)")
+    return worst <= 4.0, (f"max |z| = {worst:.2f} over the order counts and "
+                          "per-stage deciles of both samplers against the "
+                          "exact law (bound 4 sigma)")
 
 
-def _check_equal_rate_reduction() -> CheckResult:
+def _equal_rate_density_reduction() -> tuple[bool, str]:
     worst = 0.0
     u = 1.3
     for n in (2, 3, 5):
@@ -380,11 +351,10 @@ def _check_equal_rate_reduction() -> CheckResult:
                 rate = (n - j + 1) * u
                 expected *= rate * math.exp(-rate * t)
             worst = max(worst, abs(got - expected) / max(expected, 1e-300))
-    return CheckResult("recall", "equal_rate_density_reduction",
-                       worst <= 1e-12, f"max rel err = {worst:.3e}")
+    return worst <= 1e-12, f"max rel err = {worst:.3e}"
 
 
-def _check_stage_means() -> CheckResult:
+def _stage_means_match_remaining_rate() -> tuple[bool, str]:
     n, u = 5, 0.8
     model = recall.RecallModel((u,) * n)
     trials = recall.sample_vu_serial(model, 200_000, 31415)
@@ -394,12 +364,11 @@ def _check_stage_means() -> CheckResult:
         expected = recall.rw_mean_ict(n, u, j, "mcgill")
         sigma = expected / math.sqrt(len(trials))  # exponential: sd = mean
         worst = max(worst, abs(observed - expected) / (3 * sigma))
-    return CheckResult("recall", "stage_means_match_remaining_rate",
-                       worst <= 1.0, f"max |mean gap| = {worst:.2f} x its "
-                                     "3-sigma bound (mcgill convention)")
+    return worst <= 1.0, (f"max |mean gap| = {worst:.2f} x its 3-sigma bound "
+                          "(mcgill convention)")
 
 
-def _check_mle() -> CheckResult:
+def _weibull_mle_recovery() -> tuple[bool, str]:
     dist = Weibull(0.7, 2.0)
     data = mc.sample_iid(dist, 10_000, 1, 321)[:, 0]
     fit = recall.weibull_mle(data)
@@ -415,42 +384,41 @@ def _check_mle() -> CheckResult:
     huu = (ll(lk, lu + h) - 2 * ll(lk, lu) + ll(lk, lu - h)) / h ** 2
     rel = max(abs(gk) / abs(hkk), abs(gu) / abs(huu))
     ok = ok and rel < 1e-4
-    return CheckResult("recall", "weibull_mle_recovery",
-                       ok, f"k_hat={fit.k_hat:.4f}, u_hat={fit.u_hat:.4f}, "
-                           f"gradient/curvature = {rel:.2e}")
+    return ok, (f"k_hat={fit.k_hat:.4f}, u_hat={fit.u_hat:.4f}, "
+                f"gradient/curvature = {rel:.2e}")
 
 
-_SUITES: dict[str, list[Callable[[], CheckResult]]] = {
-    "analysis": [_check_route_agreement, _check_fixed_order_nonnegative,
-                 _check_conv_closed_forms, _check_conv_bounds,
-                 _check_parallel_zero, _check_gap_sign_consistency,
-                 _check_hazard_ratio_threshold, _check_conditional_survival_monotone,
-                 _check_uniform_regimes],
-    "mc": [_check_theorem1_fraction, _check_theorem1_stability,
-           _check_determinism, _check_serial_marginals, _check_parallel_cov,
-           _check_fixed_order_covariance, _check_conv_mc_oracle],
-    "recall": [_check_perm_sum, _check_equivalence, _check_equal_rate_reduction,
-               _check_stage_means, _check_mle],
+#: Each suite's checks in report order.  The table is all that names a
+#: check: its line reads ``<suite>/<function name less the leading _>``.
+_SUITES: dict[str, list[Callable[[], tuple[bool, str]]]] = {
+    "analysis": [_quotient_vs_factored_agreement, _single_order_nonnegative,
+                 _convolution_closed_forms, _convolution_ordering,
+                 _parallel_difference_zero, _gap_expr4_sign_consistency,
+                 _stage_gap_hazard_ratio_threshold,
+                 _conditional_survival_monotone_in_Ta, _uniform_three_regimes],
+    "mc": [_order_constrained_sign_fraction, _sign_fraction_seed_stability,
+           _bitwise_determinism, _serial_marginal_matches_analytic,
+           _parallel_total_covariance_zero,
+           _fixed_order_cov_equals_stage_variance,
+           _convolution_matches_simulation],
+    "recall": [_order_probabilities_normalize, _serial_parallel_equivalence,
+               _equal_rate_density_reduction,
+               _stage_means_match_remaining_rate, _weibull_mle_recovery],
 }
 
 
 def run_suite(name: str) -> list[CheckResult]:
     """Run one suite ('analysis', 'mc', 'recall') or 'all'.  A check that
     raises an :class:`ArchlabError` fails, and the others still run."""
-    if name == "all":
-        names = ["analysis", "mc", "recall"]
-    elif name in _SUITES:
-        names = [name]
-    else:
+    if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r} "
                          f"(expected all, {', '.join(_SUITES)})")
     results = []
-    for suite in names:
+    for suite in _SUITES if name == "all" else [name]:
         for check in _SUITES[suite]:
             try:
-                results.append(check())
+                passed, detail = check()
             except ArchlabError as exc:
-                results.append(CheckResult(
-                    suite, check.__name__.removeprefix("_check_"), False,
-                    f"raised {type(exc).__name__}: {exc}"))
+                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+            results.append(CheckResult(suite, check.__name__[1:], passed, detail))
     return results

@@ -12,7 +12,7 @@ import pytest
 
 from archlab import cli, mc, recall, verify
 from archlab.distributions import Exponential, parse_spec
-from archlab.errors import ConsistencyError, DomainError
+from archlab.errors import ArchlabError, ConsistencyError, DomainError
 from archlab.numerics import convolve_cdf, fmt17, write_table
 from archlab.parallel import ParallelTwoModel
 from archlab.serial import SerialTwoModel
@@ -359,6 +359,14 @@ class TestSimulate:
         code, _, err = run(["simulate", "recall-serial", "--n", "5"], capsys)
         assert code == 1 and "--rates" in err
 
+    def test_recall_rates_whose_sum_overflows(self, capsys):
+        # an infinite sum would make every trial pick item 1 first
+        code, out, err = run(["simulate", "recall-serial",
+                              "--rates", "1e308,1e308"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("archlab: rates must have a finite sum, "
+                       "got (1e+308, 1e+308)\n")
+
     def test_recall_trace(self, capsys):
         code, out, _ = run(["simulate", "recall-parallel",
                             "--rates", "2,1,0.5", "--n", "4"], capsys)
@@ -574,9 +582,31 @@ class TestVerifyAndUsage:
         assert lines[:2] == [
             f"FAIL analysis/{name}: raised ConsistencyError: dependence routes "
             "disagree at tau=0.5"
-            for name in ("route_agreement", "fixed_order_nonnegative")]
+            for name in ("quotient_vs_factored_agreement",
+                         "single_order_nonnegative")]
         assert len(lines) == 10 and lines[-1] == "7/9 checks passed"
         assert all(line.startswith("PASS") for line in lines[2:-1])
+
+    _CHECKS = [(suite, check) for suite, checks in verify._SUITES.items()
+               for check in checks]
+
+    @pytest.mark.parametrize("index", range(len(_CHECKS)),
+                             ids=[check.__name__[1:] for _, check in _CHECKS])
+    def test_a_raising_check_keeps_its_name(self, index, capsys, monkeypatch):
+        # the FAIL line of a check that raises names it as its PASS line does
+        suite, check = self._CHECKS[index]
+
+        def raising():  # run as the check, with verify's globals
+            raise ArchlabError("forced")
+
+        monkeypatch.setattr(check, "__code__", raising.__code__)
+        monkeypatch.setitem(verify._SUITES, suite, [check])
+        code, out, _ = run(["verify", "--suite", suite], capsys)
+        golden = (Path(__file__).parent / "golden" / "verify.txt").read_text()
+        want = golden.splitlines()[index].split(":")[0].removeprefix("PASS ")
+        assert code == 3
+        assert out.splitlines()[0] == (
+            f"FAIL {want}: raised ArchlabError: forced")
 
 
 def _json_cells(value) -> str:

@@ -11,6 +11,7 @@ from archlab.distributions import (EPS_SURVIVAL, Exponential,
                                    Weibull, parse_spec)
 from archlab.errors import (DistSpecError, DomainError,
                             ExhaustedSurvivalError)
+from archlab.numerics import convolve_cdf
 from archlab.verify import _PdfCdfOnly
 
 
@@ -118,6 +119,26 @@ class TestErrors:
                         unnamed.append(f"{method}({bad!r}): {exc}")
         assert unnamed == []
         assert raised == n_raising
+
+    @pytest.mark.parametrize("scalar", [np.float64, np.array, int],
+                             ids=["float64", "0-d array", "int"])
+    def test_scalar_errors_print_the_value(self, scalar):
+        # not the caller's object: np.float64(-1.0) or array(2.)
+        for method, value, message in (
+                (Weibull(2.0, 1.0).hazard, -1.0,
+                 "hazard undefined before the support: t=-1.0"),
+                (Weibull(2.0, 1.0).quantile, 2.0,
+                 "quantile level must be in [0, 1), got 2.0"),
+                (Uniform(2.0).hazard, 2.0,
+                 "hazard undefined: exhausted survival at t=2.0 (v=2.0)"),
+                (Exponential(1.0).cdf, math.inf, "t must be finite, got inf"),
+                (lambda tau: convolve_cdf(Weibull(2.0, 1.0), tau), -1.0,
+                 "tau must be nonnegative, got -1.0")):
+            if scalar is int and not value.is_integer():
+                continue
+            with pytest.raises(DomainError) as err:
+                method(scalar(value))
+            assert str(err.value) == message
 
     def test_uniform_cum_hazard_domain(self):
         with pytest.raises(DomainError):

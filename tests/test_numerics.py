@@ -164,6 +164,14 @@ class TestConvolveCdf:
         assert convolve_cdf(Weibull(0.2, 1.0), 1.0) == pytest.approx(
             0.391038, abs=5e-6)
 
+    @pytest.mark.parametrize("dist", [
+        Weibull(2.0, 1.0), Weibull(0.5, 1.0), Weibull(1.0, 1.0),
+        _PdfCdfOnly(Weibull(2.0, 1.0))], ids=["k2", "k0.5", "k1", "pdf-cdf-only"])
+    def test_largest_finite_taus(self, dist):
+        # a panel midpoint 0.5 * (lo + hi) would overflow above about 1.2e308
+        taus = np.array([1e308, 1.7e308, np.finfo(float).max])
+        assert np.array_equal(convolve_cdf(dist, taus), np.ones(3))
+
     def test_depth_starved_convolution_raises_with_estimate(self, monkeypatch):
         monkeypatch.setattr(numerics, "ABS_TOL", 1e-14)
         monkeypatch.setattr(numerics, "MAX_DEPTH", 1)

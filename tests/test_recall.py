@@ -43,6 +43,18 @@ class TestOrderProbability:
                         for p in permutations(range(n)))
             assert abs(total - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("rates", [(1e308, 1e308), (1.0, 1.7e308, 1.7e308)])
+    def test_rates_whose_sum_overflows_are_rejected(self, rates):
+        # with sum(rates) = inf every order's probability would be r / inf = 0
+        with pytest.raises(DomainError, match="rates must have a finite sum"):
+            recall.RecallModel(rates)
+
+    def test_normalization_at_the_largest_finite_sum(self):
+        rate = np.finfo(float).max / 2
+        model = recall.RecallModel((rate, rate))
+        assert [recall.vu_order_probability(model, order)
+                for order in ((0, 1), (1, 0))] == [0.5, 0.5]
+
 
 class TestIctDensity:
     def test_equal_rate_origin_value(self):
@@ -193,7 +205,7 @@ class TestVerifyEquivalenceCheck:
     def test_fails_when_one_sampler_is_off(self, monkeypatch):
         monkeypatch.setattr(recall, "sample_parallel_expo", self._first_rate_scaled(
             recall.sample_parallel_expo, 1.05))
-        assert not verify._check_equivalence().passed
+        assert not verify._serial_parallel_equivalence()[0]
 
     def test_fails_when_both_samplers_share_an_error(self, monkeypatch):
         # the samplers still agree with each other, so a two-sample test
@@ -201,7 +213,7 @@ class TestVerifyEquivalenceCheck:
         for name in ("sample_vu_serial", "sample_parallel_expo"):
             monkeypatch.setattr(recall, name, self._first_rate_scaled(
                 getattr(recall, name), 1.05))
-        assert not verify._check_equivalence().passed
+        assert not verify._serial_parallel_equivalence()[0]
 
     def test_fails_on_nan_durations(self, monkeypatch):
         sampler = recall.sample_vu_serial
@@ -211,7 +223,7 @@ class TestVerifyEquivalenceCheck:
             trials.icts[::2, -1] = np.nan
             return trials
         monkeypatch.setattr(recall, "sample_vu_serial", broken)
-        assert not verify._check_equivalence().passed
+        assert not verify._serial_parallel_equivalence()[0]
 
 
 class TestHyperbolicMeans:
