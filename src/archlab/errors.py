@@ -37,7 +37,7 @@ class DistSpecError(ArchlabError, ValueError):
 
 
 class QuadratureConvergenceError(ArchlabError, ArithmeticError):
-    """Adaptive quadrature hit its depth limit before meeting the tolerance.
+    """The quadrature reached its last level before meeting the tolerance.
 
     Carries the best available estimate in :attr:`best_estimate`.
     """

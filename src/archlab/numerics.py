@@ -10,14 +10,18 @@ never evaluated near the origin (where the Weibull density with k < 1
 diverges).  Closed forms are used for the exponential and uniform families.
 
 The convolution, over a whole array of tau values at once, is the only
-numerical integral, and it goes through one adaptive Gauss-Kronrod G7/K15
-rule (:func:`_gauss_kronrod`): each panel of every cell is evaluated at
-once, |K15 - G7| is the panel's error estimate, and only panels whose
-estimate exceeds their share of the tolerance are bisected.
+numerical integral, and it goes through one tanh-sinh rule
+(:func:`_tanh_sinh`) on every panel of every cell: levels of fixed nodes,
+each halving the last one's spacing, until a cell's last two levels agree
+to ``REL_TOL`` relative to its conv.  The nodes crowd both panel ends
+double-exponentially, so the x^(k-1) density of a Weibull with k < 1 and
+the (tau - x)^k end of F(tau - x) need no bisection and no substitution.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 from itertools import islice
 from typing import Iterable, Sequence
@@ -25,12 +29,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import (Exponential, ProcessingTimeDistribution, Uniform,
-                            Weibull, _first_bad)
+                            _first_bad)
 from .errors import DomainError, QuadratureConvergenceError
 
 #: Absolute tolerance under which a computed difference counts as zero when
-#: classifying signs; matches the achievable resolution of the default
-#: quadrature tolerance.
+#: classifying signs.  conv meets ``REL_TOL`` (1e-13) relative, but a
+#: signed value can amplify its error: d expression3 / d conv is about 9e4
+#: at (u, tau) = (10, 0.01).
 SIGN_TOL = 1e-9
 
 _SIGNS = np.array(["negative", "zero", "positive"], dtype=object)
@@ -53,87 +58,82 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-#: Settings of the adaptive Gauss-Kronrod G7/K15 rule.  ``ABS_TOL`` bounds
-#: the estimated absolute error of each integral (of each cell, for an
-#: array of tau values).  ``MAX_DEPTH`` is the number of times a panel may
-#: be bisected: a panel ``MAX_DEPTH`` halvings below its starting segment
-#: that still misses its tolerance share fails the cell.
-ABS_TOL = 1e-8
-MAX_DEPTH = 40
+#: Settings of the tanh-sinh rule.  ``LEVELS`` lists 1/h for the node
+#: spacing h of each level, coarsest first; each halves the last one's h,
+#: so it adds only the odd multiples of its h to the nodes before it.  A
+#: cell stops at the first level whose estimate of conv differs from the
+#: last level's by at most ``REL_TOL`` * conv, and fails if the last
+#: level does not.
+LEVELS = (8, 16, 32, 64)
+REL_TOL = 1e-13
 
-# Gauss-Kronrod 15-point nodes on [-1, 1] (ascending) with the Kronrod
-# weights and, in the second column, the weights of the 7-point Gauss rule
-# embedded at the odd-indexed nodes (Piessens et al., QUADPACK, 1983).
-_GK_HALF = (  # (node, Kronrod weight, Gauss weight) for node >= 0
-    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
-    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
-     0.129484966168869693270611432679082),
-    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
-    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
-     0.279705391489276667901467771423780),
-    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
-    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
-     0.381830050505118944950369775488975),
-    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
-    (0.0, 0.209482141084727828012999174891714, 0.417959183673469387755102040816327),
-)
-_GK = np.array(_GK_HALF[:-1] + _GK_HALF[::-1])
-_GK[:7, 0] *= -1.0
-_NODES = _GK[:, 0]
-_WEIGHTS = _GK[:, 1:]  # (15, 2): Kronrod, Gauss
+#: The nodes t = j h lie in [-_T_MAX, _T_MAX]; the outermost lie 2.6e-18
+#: of their panel from its ends, where the weights are below rounding.
+_T_MAX = 3.25
 
-#: A panel whose |K - G| is within this many ulps of its integral of |f|
-#: cannot be improved by bisection: rounding, not the rule, limits it.
-_ROUNDING_ULPS = 50.0 * np.finfo(float).eps
+
+def _level_nodes(n: int, first: bool) -> np.ndarray:
+    """Rows (a, b, w) at the nodes t = j/n that a level with h = 1/n adds:
+    every j at the first level, odd j after it.  a = 1/(1 + e^(-pi sinh t))
+    is the node on [0, 1], b = 1/(1 + e^(pi sinh t)) its distance from 1,
+    and w = h pi cosh t a b its weight (Takahasi & Mori, 1974)."""
+    m = int(_T_MAX * n)
+    ts = [j / n for j in range(-m, m + 1) if first or j % 2]
+    out = np.empty((3, len(ts)))
+    for col, t in enumerate(ts):
+        s = math.pi * math.sinh(t)
+        a, b = 1.0 / (1.0 + math.exp(-s)), 1.0 / (1.0 + math.exp(s))
+        out[:, col] = a, b, math.pi * math.cosh(t) * a * b / n
+    return out
+
+
+@functools.cache
+def _nodes(levels: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Every level's new nodes, built by the first convolution with
+    :mod:`math` and scalar stores.  Built at import, with numpy's
+    sinh/cosh or from a list of rows, they raised the peak memory of
+    commands by up to 0.15 MB, those that make no convolution included."""
+    return tuple(_level_nodes(n, i == 0) for i, n in enumerate(levels))
+
 
 #: Cells per pass of the vectorised convolution; bounds the size of the
-#: refinement arrays whatever the length of the tau array.
-_CELLS_PER_PASS = 1024
+#: node arrays whatever the length of the tau array.  A figure row of 100
+#: tau is one pass; a pass of Weibull(0.5, 1) cells peaks at 0.46 MB for
+#: 128 and 3.5 MB for 1024 (tracemalloc).
+_CELLS_PER_PASS = 128
 
 
-def _gauss_kronrod(fn, lo: np.ndarray, hi: np.ndarray, tol: np.ndarray,
-                   cell: np.ndarray,
-                   n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-    """Adaptive G7/K15 over panels ``[lo, hi]``, each owned by a ``cell``.
+def _tanh_sinh(fn, lo: np.ndarray, hi: np.ndarray, cell: np.ndarray,
+               floor: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-sinh over panels ``[lo, hi]``, each owned by a ``cell``.
 
-    ``fn(x, cell)`` evaluates the integrands at the nodes ``x`` (one row of
-    15 per panel) of the panels owned by ``cell``.  A panel is accepted
-    when |K15 - G7| <= its ``tol``; otherwise it is bisected and each half
-    gets half the tolerance, at most ``MAX_DEPTH`` times.  Returns the
-    per-cell sums of the Kronrod estimates and whether every panel of the
-    cell met its tolerance (the sums are then still the best estimates).
+    ``fn(x, r, p)`` evaluates the integrands of the panels ``p`` at the
+    nodes ``x`` (one row per panel), ``r`` being each node's distance
+    ``hi - x`` from its panel's upper end, formed without cancellation.
+    A cell's integral T sums its panels; the cell stops at the first
+    level whose T differs from the last level's by at most
+    ``tol * (floor + |T|)`` (Bailey, Jeyabalan & Li, 2005).  Returns
+    the per-cell estimates of the last level each cell reached and whether
+    each cell stopped (a nan estimate never does; the sums are then still
+    the best estimates).
     """
-    total = np.zeros(n_cells)
-    ok = np.ones(n_cells, dtype=bool)
-    for level in range(MAX_DEPTH + 1):
-        centre = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
-        half = 0.5 * (hi - lo)
-        fx = fn(centre[:, None] + half[:, None] * _NODES, cell)
+    total = np.zeros(floor.size)
+    live = np.ones(floor.size, dtype=bool)
+    panels = np.arange(lo.size)
+    for level, (a, b, w) in enumerate(_nodes(LEVELS)):
+        length = hi[panels] - lo[panels]
+        fx = fn(lo[panels, None] + length[:, None] * a, length[:, None] * b,
+                panels)
         # einsum rather than a BLAS matmul, whose buffers add ~1 MB of RSS
-        kronrod, gauss = np.einsum("pn,nw->wp", fx, _WEIGHTS) * half
-        err = np.abs(kronrod - gauss)
-        refine = ~(err <= tol)
-        if refine.any():
-            # a panel at MAX_DEPTH, with a nan estimate or with an error at
-            # the rounding floor cannot be refined: it fails its cell
-            floor = _ROUNDING_ULPS * half * np.einsum("pn,n->p", np.abs(fx),
-                                                      _WEIGHTS[:, 0])
-            stuck = refine & ((level == MAX_DEPTH) | ~(err > floor))
-            if stuck.any():
-                ok[cell[stuck]] = False
-                refine &= ~stuck
-        done = ~refine
-        total += np.bincount(cell[done], weights=kronrod[done], minlength=n_cells)
-        if not refine.any():
-            break
-        mid = centre[refine]
-        lo = np.concatenate((lo[refine], mid))
-        hi = np.concatenate((mid, hi[refine]))
-        tol = 0.5 * tol[refine]
-        tol = np.concatenate((tol, tol))
-        cell = cell[refine]
-        cell = np.concatenate((cell, cell))
-    return total, ok
+        new = np.bincount(cell[panels], minlength=floor.size,
+                          weights=length * np.einsum("pn,n->p", fx, w))
+        last, total = total, np.where(live, 0.5 * total + new, total)
+        if level:
+            live &= ~(np.abs(total - last) <= tol * (floor + np.abs(total)))
+            if not live.any():
+                break
+        panels = panels[live[cell[panels]]]
+    return total, ~live
 
 
 def convolve_cdf(dist: ProcessingTimeDistribution, tau):
@@ -150,8 +150,9 @@ def convolve_cdf(dist: ProcessingTimeDistribution, tau):
     The Weibull family, ``Weibull(1, u)`` included, has no closed form and
     integrates numerically, as do custom distributions, whose ``pdf`` and
     ``cdf`` are called with arrays of nodes.  A tau at which the quadrature
-    misses ``ABS_TOL`` raises :class:`QuadratureConvergenceError` naming the
-    first such tau and carrying its best estimate.
+    misses ``REL_TOL`` at every level of ``LEVELS`` raises
+    :class:`QuadratureConvergenceError` naming the first such tau and
+    carrying its best estimate.
     """
     taus = np.asarray(tau, dtype=float)
     for bad, what in ((~np.isfinite(taus), "finite"), (taus < 0, "nonnegative")):
@@ -185,47 +186,36 @@ def _numeric_conv(dist: ProcessingTimeDistribution,
     """The split-form convolution at every (positive) tau at once."""
     n = tau.size
     half = 0.5 * tau
-    if isinstance(dist, Weibull) and dist.k < 1.0:
-        # With k < 1 the CDF has a vertical tangent at 0, so the direct
-        # integrand behaves like (tau - x)^k at x = tau and starves the
-        # refinement.  Substituting s = (u (tau - x))^k gives
-        #   int_0^{(u tau/2)^k} f(tau - s^(1/k)/u) (1 - e^-s)
-        #                       s^((1-k)/k) / (u k) ds
-        # whose integrand vanishes like s^(1/k) at 0.
-        k, u = dist.k, dist.u
-        inv_k, jac_exp = 1.0 / k, (1.0 - k) / k
+    # cut [tau/2, tau] at the kinks x = b and x = tau - b of f(x) F(tau - x)
+    bps = np.asarray(dist.breakpoints(), dtype=float)
+    kinks = np.hstack([np.broadcast_to(bps, (n, bps.size)), tau[:, None] - bps])
+    cuts = np.sort(np.column_stack(
+        [half, tau, np.clip(kinks, half[:, None], tau[:, None])]), axis=1)
+    lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    cell = np.repeat(np.arange(n), cuts.shape[1] - 1)
+    keep = hi > lo
+    lo, hi, cell = lo[keep], hi[keep], cell[keep]
+    # tau - x = (tau - hi) + (hi - x) keeps F's relative precision at x = tau
+    gap = tau[cell] - hi
 
-        def integrand(s, cell):
-            x = tau[cell][:, None] - s ** inv_k / u
-            return dist.pdf(x) * -np.expm1(-s) * s ** jac_exp / (u * k)
+    def integrand(x, r, p):
+        return dist.pdf(x) * dist.cdf(gap[p, None] + r)
 
-        lo, hi, cell = np.zeros(n), (u * half) ** k, np.arange(n)
-        tol = np.full(n, 0.5 * ABS_TOL)
-    else:
-        def integrand(x, cell):
-            return dist.pdf(x) * dist.cdf(tau[cell][:, None] - x)
-
-        # cut [tau/2, tau] at the kinks x = b and x = tau - b of f(x) F(tau - x)
-        bps = np.asarray(dist.breakpoints(), dtype=float)
-        kinks = np.hstack([np.broadcast_to(bps, (n, bps.size)), tau[:, None] - bps])
-        cuts = np.sort(np.column_stack(
-            [half, tau, np.clip(kinks, half[:, None], tau[:, None])]), axis=1)
-        lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
-        cell = np.repeat(np.arange(n), cuts.shape[1] - 1)
-        keep = hi > lo
-        lo, hi, cell = lo[keep], hi[keep], cell[keep]
-        tol = 0.5 * ABS_TOL * (hi - lo) / half[cell]
-
-    integral, ok = _gauss_kronrod(integrand, lo, hi, tol, cell, n)
     f_half = np.asarray(dist.cdf(half), dtype=float)
+    base = f_half * f_half
+    # conv = base + 2 T, so |T - T'| <= REL_TOL (base/2 + T) is the
+    # relative criterion on conv.  A subnormal tau has fewer than 53 bits,
+    # and so have the nodes: no more than tau's own precision is asked
+    tol = np.maximum(REL_TOL, 64.0 * np.finfo(float).smallest_subnormal / tau)
+    integral, ok = _tanh_sinh(integrand, lo, hi, cell, 0.5 * base, tol)
     # mathematical constraint: 0 <= f*F(tau) <= F(tau)
-    conv = np.clip(f_half * f_half + 2.0 * integral, 0.0,
+    conv = np.clip(base + 2.0 * integral, 0.0,
                    np.asarray(dist.cdf(tau), dtype=float))
     if not ok.all():
         i = int(np.argmin(ok))
         raise QuadratureConvergenceError(
             f"convolution quadrature did not converge at tau={float(tau[i])!r} "
-            f"for {dist!r} (abs_tol={ABS_TOL}, max_depth={MAX_DEPTH})",
+            f"for {dist!r} (rel_tol={REL_TOL:g}, last level h=1/{LEVELS[-1]})",
             best_estimate=float(conv[i]))
     return conv
 

@@ -38,7 +38,7 @@ GRID_BUDGET_S = 60.0
 #: A grid corner may differ from its mpmath value by this much.  The most
 #: sensitive corner is k = 2 at (u, tau) = (10, 0.01), where
 #: d expression3 / d conv ~ 9e4 amplifies any convolution error; with the
-#: Gauss-Kronrod kernel the worst corner gap measures 5.0e-16.
+#: tanh-sinh kernel the worst corner gap measures 5.0e-16.
 ORACLE_TOL = 1e-7
 
 #: On the k = 2 grid every cell with u*tau at most this is below -SIGN_TOL
