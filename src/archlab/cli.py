@@ -37,9 +37,14 @@ from .numerics import convolve_cdf, fmt17, write_table
 if TYPE_CHECKING:
     from .parallel import StageSurvivalGrid
 
-# The flags each figure takes, with their defaults; any other is an error.
-_FIG_DEFAULTS = {"fig4": {"k": 0.5}, "fig5": {"k": 0.2},
-                 "fig6": {"k": 2.0, "u": 1.0}, "fig7": {"v": 2.0}}
+# The flags each figure and each simulate architecture takes, with their
+# defaults (None: the flag is required); any other is refused.
+_TAKES = {"figure": {"fig4": {"k": 0.5}, "fig5": {"k": 0.2},
+                     "fig6": {"k": 2.0, "u": 1.0}, "fig7": {"v": 2.0}},
+          "simulate": {"serial": {"dist": None, "p": 0.5},
+                       "parallel": {"dist": None},
+                       "recall-serial": {"rates": None},
+                       "recall-parallel": {"rates": None}}}
 
 
 @contextlib.contextmanager
@@ -96,69 +101,69 @@ def _build_parser() -> _Parser:
                      description="Dependence analysis for two-process "
                                  "serial/parallel processing-time models")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    cmd = {name: sub.add_parser(name, help=text)
+           for name, (_, text, _) in _COMMANDS.items()}
 
-    fig = sub.add_parser("figure", help="emit a named data grid")
-    fig.add_argument("id", choices=["fig4", "fig5", "fig6", "fig7"])
-    fig.add_argument("--k", type=float, default=None,
-                     help="Weibull shape override (fig4/5/6)")
-    fig.add_argument("--u", type=float, default=None,
-                     help="Weibull rate (fig6; default 1)")
-    fig.add_argument("--v", type=float, default=None,
-                     help="uniform upper bound (fig7; default 2)")
-    fig.add_argument("--steps", type=int, default=100)
-    fig.add_argument("--out", default=None)
-    fig.add_argument("--format", choices=["csv", "json"], default="csv")
+    def add_taken(command: str, flag: str, what: str, **kwargs) -> None:
+        uses = (name for name, flags in _TAKES[command].items() if flag in flags)
+        cmd[command].add_argument(f"--{flag}", help=f"{what} ({', '.join(uses)})",
+                                  **kwargs)
 
-    th = sub.add_parser("theorem1", help="order-constrained sign Monte Carlo")
-    th.add_argument("--n", type=int, default=1_000_000)
-    th.add_argument("--seed", type=int, default=None)  # mc.DEFAULT_SEED
-    th.add_argument("--out", default=None)
-    th.add_argument("--format", choices=["csv", "json"], default="json")
+    cmd["figure"].add_argument("id", choices=_TAKES["figure"])
+    add_taken("figure", "k", "Weibull shape", type=float)
+    add_taken("figure", "u", "Weibull rate", type=float)
+    add_taken("figure", "v", "uniform upper bound", type=float)
 
-    dep = sub.add_parser("dependence", help="serial dependence profile over tau")
-    dep.add_argument("--dist", required=True, help="e.g. weibull:k=2,u=1")
+    for name in ("dependence", "stage-survival"):
+        cmd[name].add_argument("--dist", required=True, help="e.g. weibull:k=2,u=1")
+    dep = cmd["dependence"]
     dep.add_argument("--p", type=float, default=0.5)
     dep.add_argument("--tau-min", type=float, default=0.0,
                      help="0 starts at the first positive grid point")
-    dep.add_argument("--tau-max", type=float, default=None,
+    dep.add_argument("--tau-max", type=float,
                      help="default: 2 * quantile(0.999) of --dist")
-    dep.add_argument("--steps", type=int, default=100)
-    dep.add_argument("--out", default=None)
-    dep.add_argument("--format", choices=["csv", "json"], default="csv")
+    for axis in ("t", "ta"):
+        cmd["stage-survival"].add_argument(f"--{axis}-min", type=float, default=0.0)
+        cmd["stage-survival"].add_argument(f"--{axis}-max", type=float)
 
-    st = sub.add_parser("stage-survival", help="parallel stage-survival grid")
-    st.add_argument("--dist", required=True)
-    st.add_argument("--t-min", type=float, default=0.0)
-    st.add_argument("--t-max", type=float, default=None)
-    st.add_argument("--ta-min", type=float, default=0.0)
-    st.add_argument("--ta-max", type=float, default=None)
-    st.add_argument("--steps", type=int, default=100)
-    st.add_argument("--out", default=None)
-    st.add_argument("--format", choices=["csv", "json"], default="csv")
+    cmd["simulate"].add_argument("arch", choices=_TAKES["simulate"])
+    add_taken("simulate", "dist", "distribution spec")
+    add_taken("simulate", "p", "probability that a runs first", type=float)
+    add_taken("simulate", "rates", "comma-separated item rates")
 
-    sim = sub.add_parser("simulate", help="trial traces for a model")
-    sim.add_argument("arch", choices=["serial", "parallel",
-                                      "recall-serial", "recall-parallel"])
-    sim.add_argument("--dist", default=None)
-    sim.add_argument("--p", type=float, default=0.5)
-    sim.add_argument("--rates", default=None,
-                     help="comma-separated rates for recall models")
-    sim.add_argument("--n", type=int, default=10_000)
-    sim.add_argument("--seed", type=int, default=None)  # mc.DEFAULT_SEED
-    sim.add_argument("--out", default=None)
-    sim.add_argument("--format", choices=["csv", "json"], default="csv")
+    cmd["fit"].add_argument("--input", required=True,
+                            help="CSV with header 'time', one positive time per row")
+    cmd["verify"].add_argument("--suite", default="all",
+                               choices=["all", "analysis", "mc", "recall"])
 
-    fit = sub.add_parser("fit", help="Weibull MLE on a column of times")
-    fit.add_argument("--input", required=True,
-                     help="CSV with header 'time', one positive time per row")
-    fit.add_argument("--out", default=None)
-    fit.add_argument("--format", choices=["csv", "json"], default="json")
-
-    ver = sub.add_parser("verify", help="run the verification suites")
-    ver.add_argument("--suite", choices=["all", "analysis", "mc", "recall"],
-                     default="all")
-    ver.add_argument("--out", default=None)
+    # the flags several commands share
+    for name in ("figure", "dependence", "stage-survival"):
+        cmd[name].add_argument("--steps", type=int, default=100)
+    for name, n in (("theorem1", 1_000_000), ("simulate", 10_000)):
+        cmd[name].add_argument("--n", type=int, default=n)
+        cmd[name].add_argument("--seed", type=int)  # mc.DEFAULT_SEED
+    for name, (_, _, fmt) in _COMMANDS.items():
+        cmd[name].add_argument("--out")
+        if fmt is not None:
+            cmd[name].add_argument("--format", choices=["csv", "json"], default=fmt)
     return parser
+
+
+def _flags_of(args, name: str) -> dict:
+    """The flags that ``name``, a figure or a simulate architecture, takes
+    by ``_TAKES``: as passed, or else their defaults.  Passing one that it
+    does not take, or leaving out a required one, is a usage error."""
+    table = _TAKES[args.command]
+    par = dict(table[name])
+    for flag in dict.fromkeys(f for flags in table.values() for f in flags):
+        if (value := getattr(args, flag)) is not None:
+            if flag not in par:
+                raise UsageError(f"--{flag} does not apply to {name}")
+            par[flag] = value
+    for flag, value in par.items():
+        if value is None:
+            raise UsageError(f"--{flag} is required for {name}")
+    return par
 
 
 def _write_table(args, result, **head) -> int:
@@ -259,12 +264,7 @@ def _expr3_grid(k: float, us: np.ndarray, taus: np.ndarray) -> np.ndarray:
 
 
 def _cmd_figure(args) -> int:
-    par = dict(_FIG_DEFAULTS[args.id])
-    for flag in ("k", "u", "v"):
-        if getattr(args, flag) is not None:
-            if flag not in par:
-                raise UsageError(f"--{flag} does not apply to {args.id}")
-            par[flag] = getattr(args, flag)
+    par = _flags_of(args, args.id)
     steps = args.steps
     _check_axes(steps)
     if args.id in ("fig4", "fig5"):
@@ -321,9 +321,7 @@ def _cmd_stage_survival(args) -> int:
     return _write_table(args, _stage_grid(dist, args.dist, args.steps, t, ta))
 
 
-def _parse_rates(raw: str | None) -> tuple[float, ...]:
-    if not raw:
-        raise UsageError("--rates is required for recall architectures")
+def _parse_rates(raw: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in raw.split(","))
     except ValueError:
@@ -334,22 +332,19 @@ def _parse_rates(raw: str | None) -> tuple[float, ...]:
 def _cmd_simulate(args) -> int:
     from . import mc, traces
 
-    seed = mc.DEFAULT_SEED if args.seed is None else args.seed
-    if args.arch in ("serial", "parallel"):
-        if args.dist is None:
-            raise UsageError(f"--dist is required for --arch {args.arch}")
-        dist = _parse_dist(args.dist)
-        if args.arch == "serial":
-            from .serial import SerialTwoModel
-            table = traces.serial(SerialTwoModel(dist, args.p), args.n, seed)
-        else:
-            from .parallel import ParallelTwoModel
-            table = traces.parallel(ParallelTwoModel(dist), args.n, seed)
+    par = _flags_of(args, args.arch)
+    if args.arch == "serial":
+        from .serial import SerialTwoModel
+        model = SerialTwoModel(_parse_dist(par["dist"]), par["p"])
+    elif args.arch == "parallel":
+        from .parallel import ParallelTwoModel
+        model = ParallelTwoModel(_parse_dist(par["dist"]))
     else:
         from .recall import RecallModel
-        model = RecallModel(_parse_rates(args.rates))
-        table = (traces.recall_serial if args.arch == "recall-serial"
-                 else traces.recall_parallel)(model, args.n, seed)
+        model = RecallModel(_parse_rates(par["rates"]))
+    seed = mc.DEFAULT_SEED if args.seed is None else args.seed
+    # traces has one writer per architecture, named after it
+    table = getattr(traces, args.arch.replace("-", "_"))(model, args.n, seed)
     table.write(_open_out(args.out), None if args.format == "csv" else {})
     return 0
 
@@ -407,26 +402,30 @@ def _cmd_verify(args) -> int:
     return 0 if n_fail == 0 else 3
 
 
+# Each command's handler, its help line and its default --format (None for
+# no --format), in the order `archlab -h` lists them.
+_COMMANDS = {
+    "figure": (_cmd_figure, "emit a named data grid", "csv"),
+    "theorem1": (_cmd_theorem1, "order-constrained sign Monte Carlo", "json"),
+    "dependence": (_cmd_dependence, "serial dependence profile over tau", "csv"),
+    "stage-survival": (_cmd_stage_survival, "parallel stage-survival grid", "csv"),
+    "simulate": (_cmd_simulate, "trial traces for a model", "csv"),
+    "fit": (_cmd_fit, "Weibull MLE on a column of times", "json"),
+    "verify": (_cmd_verify, "run the verification suites", None),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError("archlab: a subcommand is required "
-                             "(figure, theorem1, dependence, stage-survival, "
-                             "simulate, fit, verify)")
+                             f"({', '.join(_COMMANDS)})")
         for flag, low in (("n", 1), ("seed", 0)):  # theorem1 and simulate
             if (value := vars(args).get(flag)) is not None and value < low:
                 raise UsageError(f"--{flag} must be >= {low}, got {value}")
-        handler = {
-            "figure": _cmd_figure,
-            "theorem1": _cmd_theorem1,
-            "dependence": _cmd_dependence,
-            "stage-survival": _cmd_stage_survival,
-            "simulate": _cmd_simulate,
-            "fit": _cmd_fit,
-            "verify": _cmd_verify,
-        }[args.command]
+        handler = _COMMANDS[args.command][0]
         with _out_file(args.out) as args.out:  # the path becomes the open file
             code = handler(args)
         sys.stdout.flush()

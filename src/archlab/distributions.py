@@ -351,7 +351,9 @@ class Uniform(ProcessingTimeDistribution):
 #                       | uniform:v=<float>
 # --------------------------------------------------------------------------
 
-_FAMILY_PARAMS = {"weibull": ("k", "u"), "exp": ("u",), "uniform": ("v",)}
+# each family's class and the parameters its spec names, in order
+_FAMILIES = {"weibull": (Weibull, ("k", "u")), "exp": (Exponential, ("u",)),
+             "uniform": (Uniform, ("v",))}
 _TOKEN_RE = re.compile(r"^([A-Za-z_]\w*)=(.+)$")
 
 
@@ -369,11 +371,11 @@ def parse_spec(text: str) -> ProcessingTimeDistribution:
             f"distribution spec {text!r} must look like 'family:param=value,...'")
     family, _, rest = text.partition(":")
     family = family.strip().lower()
-    if family not in _FAMILY_PARAMS:
+    if family not in _FAMILIES:
         raise DistSpecError(
             f"unknown distribution family {family!r} "
-            f"(expected one of {sorted(_FAMILY_PARAMS)})")
-    wanted = _FAMILY_PARAMS[family]
+            f"(expected one of {sorted(_FAMILIES)})")
+    cls, wanted = _FAMILIES[family]
     values: dict[str, float] = {}
     for token in rest.split(","):
         token = token.strip()
@@ -395,8 +397,4 @@ def parse_spec(text: str) -> ProcessingTimeDistribution:
     missing = [p for p in wanted if p not in values]
     if missing:
         raise DistSpecError(f"missing parameter(s) {missing} for family {family!r}")
-    if family == "weibull":
-        return Weibull(k=values["k"], u=values["u"])
-    if family == "exp":
-        return Exponential(u=values["u"])
-    return Uniform(v=values["v"])
+    return cls(**values)

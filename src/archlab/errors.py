@@ -37,7 +37,8 @@ class DistSpecError(ArchlabError, ValueError):
 
 
 class QuadratureConvergenceError(ArchlabError, ArithmeticError):
-    """The quadrature reached its last level before meeting the tolerance.
+    """The quadrature reached its last level, on panels halved as often as
+    it may halve them, before meeting the tolerance.
 
     Carries the best available estimate in :attr:`best_estimate`.
     """

@@ -16,6 +16,8 @@ each halving the last one's spacing, until a cell's last two levels agree
 to ``REL_TOL`` relative to its conv.  The nodes crowd both panel ends
 double-exponentially, so the x^(k-1) density of a Weibull with k < 1 and
 the (tau - x)^k end of F(tau - x) need no bisection and no substitution.
+A cell that misses at the last level (the narrow peak of a steep Weibull,
+k above about 20) is redone on its panels cut in halves.
 """
 
 from __future__ import annotations
@@ -62,10 +64,12 @@ def fmt17(x: float) -> str:
 #: spacing h of each level, coarsest first; each halves the last one's h,
 #: so it adds only the odd multiples of its h to the nodes before it.  A
 #: cell stops at the first level whose estimate of conv differs from the
-#: last level's by at most ``REL_TOL`` * conv, and fails if the last
-#: level does not.
+#: last level's by at most ``REL_TOL`` * conv.  A cell that the last level
+#: leaves short is redone on its panels cut in halves, at most
+#: ``HALVINGS`` times, and fails if the last of them does not meet it.
 LEVELS = (8, 16, 32, 64)
 REL_TOL = 1e-13
+HALVINGS = 8
 
 #: The nodes t = j h lie in [-_T_MAX, _T_MAX]; the outermost lie 2.6e-18
 #: of their panel from its ends, where the weights are below rounding.
@@ -108,31 +112,53 @@ def _tanh_sinh(fn, lo: np.ndarray, hi: np.ndarray, cell: np.ndarray,
     """Tanh-sinh over panels ``[lo, hi]``, each owned by a ``cell``.
 
     ``fn(x, r, p)`` evaluates the integrands of the panels ``p`` at the
-    nodes ``x`` (one row per panel), ``r`` being each node's distance
-    ``hi - x`` from its panel's upper end, formed without cancellation.
+    nodes ``x`` (one row per panel, or per piece of a halved panel), ``r``
+    being each node's distance ``hi - x`` from its panel's upper end,
+    formed without cancellation.
     A cell's integral T sums its panels; the cell stops at the first
     level whose T differs from the last level's by at most
-    ``tol * (floor + |T|)`` (Bailey, Jeyabalan & Li, 2005).  Returns
-    the per-cell estimates of the last level each cell reached and whether
-    each cell stopped (a nan estimate never does; the sums are then still
-    the best estimates).
+    ``tol * (floor + |T|)`` (Bailey, Jeyabalan & Li, 2005).  A cell that
+    misses it at the last level is redone on its panels cut in halves, up
+    to ``HALVINGS`` times.
+    Returns the per-cell estimates of the last level each cell reached and
+    whether each cell stopped (a nan estimate never does; the sums are then
+    still the best estimates).
     """
     total = np.zeros(floor.size)
     live = np.ones(floor.size, dtype=bool)
-    panels = np.arange(lo.size)
-    for level, (a, b, w) in enumerate(_nodes(LEVELS)):
-        length = hi[panels] - lo[panels]
-        fx = fn(lo[panels, None] + length[:, None] * a, length[:, None] * b,
-                panels)
-        # einsum rather than a BLAS matmul, whose buffers add ~1 MB of RSS
-        new = np.bincount(cell[panels], minlength=floor.size,
-                          weights=length * np.einsum("pn,n->p", fx, w))
-        last, total = total, np.where(live, 0.5 * total + new, total)
-        if level:
-            live &= ~(np.abs(total - last) <= tol * (floor + np.abs(total)))
-            if not live.any():
-                break
-        panels = panels[live[cell[panels]]]
+    # the pieces [lo, hi] of the panels: each one's panel and its distance
+    # from that panel's upper end.  fn sees no more pieces at once than
+    # there are panels, so halving costs time but no memory, even for a
+    # cell that never converges (a jump where no breakpoint is declared)
+    own, up = np.arange(lo.size), np.zeros(lo.size)
+    per_call = max(lo.size, 1)
+    for halving in range(HALVINGS + 1):
+        if halving:  # the cells still live start again on halved pieces
+            keep = live[cell[own]]
+            own, lo, hi, up = own[keep], lo[keep], hi[keep], up[keep]
+            mid = lo + 0.5 * (hi - lo)
+            own = np.repeat(own, 2)
+            up = np.column_stack([up + (hi - mid), up]).ravel()
+            lo, hi = (np.column_stack([lo, mid]).ravel(),
+                      np.column_stack([mid, hi]).ravel())
+            total[live] = 0.0
+        pieces = np.arange(own.size)
+        for level, (a, b, w) in enumerate(_nodes(LEVELS)):
+            new = np.zeros(floor.size)
+            for start in range(0, pieces.size, per_call):
+                p = pieces[start:start + per_call]
+                length = hi[p] - lo[p]
+                fx = fn(lo[p, None] + length[:, None] * a,
+                        up[p, None] + length[:, None] * b, own[p])
+                # einsum, not a BLAS matmul, whose buffers add ~1 MB of RSS
+                new += np.bincount(cell[own[p]], minlength=floor.size,
+                                   weights=length * np.einsum("pn,n->p", fx, w))
+            last, total = total, np.where(live, 0.5 * total + new, total)
+            if level:
+                live &= ~(np.abs(total - last) <= tol * (floor + np.abs(total)))
+                if not live.any():
+                    return total, ~live
+            pieces = pieces[live[cell[own[pieces]]]]
     return total, ~live
 
 
@@ -150,9 +176,9 @@ def convolve_cdf(dist: ProcessingTimeDistribution, tau):
     The Weibull family, ``Weibull(1, u)`` included, has no closed form and
     integrates numerically, as do custom distributions, whose ``pdf`` and
     ``cdf`` are called with arrays of nodes.  A tau at which the quadrature
-    misses ``REL_TOL`` at every level of ``LEVELS`` raises
-    :class:`QuadratureConvergenceError` naming the first such tau and
-    carrying its best estimate.
+    misses ``REL_TOL`` at the last level of ``LEVELS``, on panels halved
+    up to ``HALVINGS`` times, raises :class:`QuadratureConvergenceError`
+    naming the first such tau and carrying its best estimate.
     """
     taus = np.asarray(tau, dtype=float)
     for bad, what in ((~np.isfinite(taus), "finite"), (taus < 0, "nonnegative")):
@@ -215,7 +241,8 @@ def _numeric_conv(dist: ProcessingTimeDistribution,
         i = int(np.argmin(ok))
         raise QuadratureConvergenceError(
             f"convolution quadrature did not converge at tau={float(tau[i])!r} "
-            f"for {dist!r} (rel_tol={REL_TOL:g}, last level h=1/{LEVELS[-1]})",
+            f"for {dist!r} (rel_tol={REL_TOL:g}, last level h=1/{LEVELS[-1]}, "
+            f"panels halved {HALVINGS} times)",
             best_estimate=float(conv[i]))
     return conv
 

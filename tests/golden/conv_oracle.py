@@ -28,7 +28,16 @@ table is written:
   tau = 1e-30, where the next order is below 1e-30 relative (tau^8/70
   for k = 4).
 
-Run from the repository root (about six seconds):
+Steep shapes: for k in ``STEEP`` and tau in ``STEEP_TAUS`` (1.4 to 2, where
+a panel of tau/2 holds the peak of f, about 1/k wide, near x = 1), the same
+recipe runs on ``PIECES`` equal pieces of [0, 1/2] (on one piece, mp.quad's
+own error estimate misses ``AGREE`` at k = 100, tau = 1.8).  Its
+cross-check is the direct form at ``DPS + 10`` digits on
+``2 (PIECES + 101)`` equal pieces of [0, tau], whose ends meet the
+recipe's only at tau/2 and tau.
+
+Run from the repository root (about seven minutes, nearly all of it on the
+steep shapes):
 
     python3 tests/golden/conv_oracle.py
 """
@@ -43,6 +52,9 @@ import mpmath as mp
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                    "conv-weibull-oracle.csv")
 SHAPES = (1.2, 1.5, 2.5)
+STEEP = (30.0, 50.0, 100.0)
+STEEP_TAUS = tuple(i / 20 for i in range(28, 41))
+PIECES = 400
 TAU_MIN = 1e-6
 STEPS = 30
 DPS = 40
@@ -62,9 +74,11 @@ def taus(k: float) -> list[float]:
     return [TAU_MIN * ratio ** i for i in range(STEPS - 1)] + [hi]
 
 
-def conv(k: float, tau: float, dps: int = DPS, direct: bool = False) -> mp.mpf:
-    """conv(tau) for Weibull(k, 1): the reflected integral on [0, 1/2], or
-    with ``direct`` the unreflected int_0^tau split at tau/2."""
+def conv(k: float, tau: float, dps: int = DPS, direct: bool = False,
+         pieces: int = 1) -> mp.mpf:
+    """conv(tau) for Weibull(k, 1): the reflected integral on [0, 1/2] in
+    ``pieces`` equal pieces, or with ``direct`` the unreflected int_0^tau
+    in ``2 pieces`` (split at tau/2 for one)."""
     with mp.workdps(dps):
         k, tau = mp.mpf(k), mp.mpf(tau)
 
@@ -79,11 +93,13 @@ def conv(k: float, tau: float, dps: int = DPS, direct: bool = False) -> mp.mpf:
         if direct:
             def g(x):
                 return pdf(x) * cdf(tau - x) / scale
-            full, err = mp.quad(g, [0, half, tau], error=True)
+            full, err = mp.quad(g, [tau * i / (2 * pieces)
+                                    for i in range(2 * pieces + 1)], error=True)
         else:
             def g(s):
                 return pdf(tau * (1 - s)) * cdf(tau * s) / scale
-            full, err = mp.quad(g, [0, mp.mpf(1) / 2], error=True)
+            full, err = mp.quad(g, [mp.mpf(i) / (2 * pieces)
+                                    for i in range(pieces + 1)], error=True)
         require(err <= AGREE * full, "quad error", k, tau, err, full)
         if direct:
             return scale * full
@@ -111,6 +127,14 @@ def check_recipe() -> None:
             require(abs(got - series) <= AGREE * series, "series", k, got, series)
 
 
+def steep_conv(k: float, tau: float) -> mp.mpf:
+    """conv(tau) of a steep shape, after its cross-check."""
+    a = conv(k, tau, pieces=PIECES)
+    b = conv(k, tau, DPS + 10, direct=True, pieces=PIECES + 101)
+    require(abs(a - b) <= AGREE * a, "steep direct form", k, tau, a, b)
+    return a
+
+
 def main() -> None:
     check_recipe()
     with open(OUT, "w") as fh:
@@ -120,6 +144,9 @@ def main() -> None:
         for k in SHAPES:
             for tau in taus(k):
                 fh.write(f"{k!r},{tau!r},{float(conv(k, tau))!r}\n")
+        for k in STEEP:
+            for tau in STEEP_TAUS:
+                fh.write(f"{k!r},{tau!r},{float(steep_conv(k, tau))!r}\n")
 
 
 if __name__ == "__main__":

@@ -69,6 +69,12 @@ class TestFigures:
         code, out, err = run(["figure", *argv, "--steps", "2"], capsys)
         assert (code, out, err) == (1, "", f"{argv[1]} does not apply to {argv[0]}\n")
 
+    @pytest.mark.parametrize("k", ["30", "60"])
+    def test_fig4_steep_shape_converges(self, k, capsys):
+        code, out, err = run(["figure", "fig4", "--k", k], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + 100 * 100
+
     def test_json_format(self, capsys):
         code, out, _ = run(["figure", "fig7", "--steps", "3",
                             "--format", "json"], capsys)
@@ -280,6 +286,13 @@ class TestDependence:
                               "-1", "--steps", "2"], capsys)
         assert (code, out, err) == (1, "", "--tau-min must be >= 0, got -1.0\n")
 
+    @pytest.mark.parametrize("k", ["22", "30", "50", "100", "160"])
+    def test_steep_weibull_converges(self, k, capsys):
+        # the default grid crosses the narrow peak of f near x = 1
+        code, out, err = run(["dependence", "--dist", f"weibull:k={k},u=1"], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 101
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_k_density_underflow_converges(self, capsys):
         # the k = 400 density is 0, not nan, where (u t)^399 overflows
@@ -385,6 +398,50 @@ class TestSimulate:
                               "1,2", "--n", "3", "--seed", "-5"], capsys)
         assert (code, out) == (1, "")
         assert err == "--seed must be >= 0, got -5\n"
+
+
+# A value for each flag in cli._TAKES, and for each figure or architecture
+# and each flag of its command: (command, name, flag, its default there,
+# None if required, or "not taken")
+_VALUES = {"k": "3", "u": "2", "v": "3", "dist": "exp:u=1", "p": "0.3",
+           "rates": "1,2"}
+_CASES = [(command, name, flag, flags.get(flag, "not taken"))
+          for command, table in cli._TAKES.items()
+          for name, flags in table.items()
+          for flag in dict.fromkeys(f for taken in table.values() for f in taken)]
+
+
+def _argv(command, name, *extra, without=None):
+    """argv for ``name`` on a tiny grid or run, with each flag it requires
+    but ``without`` and each of ``extra``."""
+    flags = [f for f, default in cli._TAKES[command][name].items()
+             if default is None and f != without] + list(extra)
+    size = ["--steps", "2"] if command == "figure" else ["--n", "2"]
+    return [command, name, *size, *(a for f in flags for a in (f"--{f}", _VALUES[f]))]
+
+
+class TestTakenFlags:
+    """Every figure and simulate architecture, checked against the one table
+    of the flags each takes."""
+
+    @pytest.mark.parametrize("command, name, flag",
+                             [case[:3] for case in _CASES if case[3] == "not taken"])
+    def test_a_flag_not_taken_is_refused(self, command, name, flag, capsys):
+        assert run(_argv(command, name, flag), capsys) == (
+            1, "", f"--{flag} does not apply to {name}\n")
+
+    @pytest.mark.parametrize("command, name, flag",
+                             [case[:3] for case in _CASES if case[3] is None])
+    def test_a_missing_required_flag_is_named(self, command, name, flag, capsys):
+        assert run(_argv(command, name, without=flag), capsys) == (
+            1, "", f"--{flag} is required for {name}\n")
+
+    @pytest.mark.parametrize("command, name, flag, default",
+                             [case for case in _CASES if isinstance(case[3], float)])
+    def test_a_default_is_the_value_it_stands_for(self, command, name, flag,
+                                                 default, capsys):
+        argv = _argv(command, name)
+        assert run(argv, capsys) == run(argv + [f"--{flag}", repr(default)], capsys)
 
 
 _B = mc.BLOCK_TRIALS

@@ -117,7 +117,8 @@ def test_weibull_matches_oracle(k, u, tau):
 
 
 #: The frozen table of ``tests/golden/conv_oracle.py``: Weibull(k, 1) for k
-#: in {1.2, 1.5, 2.5}, 30 tau each from 1e-6 to 3 q(0.999).
+#: in {1.2, 1.5, 2.5}, 30 tau each from 1e-6 to 3 q(0.999), and for k in
+#: {30, 50, 100}, 13 tau each from 1.4 to 2.
 CONV_TABLE = Path(__file__).parent / "golden" / "conv-weibull-oracle.csv"
 
 
@@ -130,6 +131,17 @@ def test_weibull_matches_frozen_table(k):
     assert len(rows) == 30
     got = convolve_cdf(Weibull(k, 1.0), rows[:, 1])
     assert np.max(np.abs(got - rows[:, 2]) / rows[:, 2]) <= ORACLE_REL_TOL
+
+
+@pytest.mark.parametrize("k", [30.0, 50.0, 100.0])
+def test_steep_weibull_matches_frozen_table(k):
+    # tau from 1.4 to 2, where f's peak near x = 1 is about 1/k wide and
+    # the rule halves the panels to resolve it
+    table = np.loadtxt(CONV_TABLE, delimiter=",", skiprows=2)
+    rows = table[table[:, 0] == k]
+    assert len(rows) == 13
+    got = convolve_cdf(Weibull(k, 1.0), rows[:, 1])
+    assert np.max(np.abs(got - rows[:, 2]) / rows[:, 2]) <= numerics.REL_TOL
 
 
 def test_weibull_false_convergence_regression():
@@ -170,10 +182,11 @@ def test_array_tau_matches_scalar_calls():
         assert got[0, 0] == 0.0
 
 
-def starve(monkeypatch):
-    """Cap the rule at its first two levels, too few for Weibull(5, 1)
-    from tau = 2 to 3."""
+def starve(monkeypatch, halvings: int = 0):
+    """Cap the rule at its first two levels and ``halvings`` halvings of
+    the panels: with none, too few for Weibull(5, 1) from tau = 2 to 3."""
     monkeypatch.setattr(numerics, "LEVELS", numerics.LEVELS[:2])
+    monkeypatch.setattr(numerics, "HALVINGS", halvings)
 
 
 def test_starved_scalar_raises_with_finite_estimate(monkeypatch):
@@ -196,6 +209,19 @@ def test_starved_array_names_first_failing_tau(monkeypatch):
     assert 0.0 <= err.value.best_estimate <= float(Weibull(5.0, 1.0).cdf(2.5))
     # the converging prefix really converges under the same settings
     assert np.all(convolve_cdf(Weibull(5.0, 1.0), taus[:2]) > 0.0)
+
+
+def test_halving_redoes_only_the_starved_cells(monkeypatch):
+    # one halving of the panels rescues the cells that two levels leave
+    # short, and leaves the cells that converge as they were
+    taus = np.array([0.5, 1.0, 2.5, 3.0])
+    full = convolve_cdf(Weibull(5.0, 1.0), taus)
+    starve(monkeypatch, halvings=0)
+    prefix = convolve_cdf(Weibull(5.0, 1.0), taus[:2])
+    starve(monkeypatch, halvings=1)
+    got = convolve_cdf(Weibull(5.0, 1.0), taus)
+    assert np.array_equal(got[:2], prefix)
+    assert np.max(np.abs(got - full) / full) <= numerics.REL_TOL
 
 
 def weibull2_closed_form(u: float, tau: float) -> float:
@@ -268,6 +294,18 @@ def test_continuity_across_k_equal_one(u):
     assert np.max(np.abs(below - exact)) <= 1e-6
     assert np.max(np.abs(above - exact)) <= 1e-6
     assert np.max(np.abs(0.5 * (below + above) - exact)) <= 1e-11
+
+
+@pytest.mark.parametrize("k", [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0, 22.0, 50.0,
+                               100.0, 160.0])
+def test_shape_sweep_on_the_dependence_grid(k):
+    # dependence's default grid, 100 tau up to 2 q(0.999): from k = 22 on
+    # the peak of f is too narrow for the last level on whole panels
+    dist = Weibull(k, 1.0)
+    taus = np.linspace(0.0, 2.0 * float(dist.quantile(0.999)), 101)[1:]
+    conv = convolve_cdf(dist, taus)
+    assert np.all((0.0 <= conv) & (conv <= dist.cdf(taus)))
+    assert np.all(np.diff(conv) >= 0.0)
 
 
 #: Relative gap allowed between conv at (u, tau) and at (1, u tau): u tau

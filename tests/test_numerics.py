@@ -66,6 +66,19 @@ class TestIntegrate:
         val, ok = self.integrate(lambda x: np.full_like(x, math.nan), (0.0, 1.0))
         assert not ok
 
+    def test_halved_pieces_come_no_more_at_once_than_the_panels(self):
+        # a cell that never converges runs every level on 3 * 2^h pieces
+        # for h = 0 .. HALVINGS, at most 3 (the panels) per call
+        rows = []
+
+        def nan(x):
+            rows.append(len(x))
+            return np.full_like(x, math.nan)
+
+        _, ok = self.integrate(nan, (0.0, 1.0, 2.0, 3.0))
+        assert not ok and max(rows) == 3
+        assert sum(rows) == len(numerics.LEVELS) * 3 * (2 ** (numerics.HALVINGS + 1) - 1)
+
 
 class TestConvolveCdf:
     def test_exponential_closed_form(self):
@@ -156,8 +169,10 @@ class TestConvolveCdf:
 
     def test_level_starved_convolution_raises_with_estimate(self, monkeypatch):
         monkeypatch.setattr(numerics, "LEVELS", numerics.LEVELS[:2])
+        monkeypatch.setattr(numerics, "HALVINGS", 0)
         with pytest.raises(QuadratureConvergenceError,
-                           match=r"\(rel_tol=1e-13, last level h=1/16\)") as err:
+                           match=r"\(rel_tol=1e-13, last level h=1/16, "
+                                 r"panels halved 0 times\)") as err:
             convolve_cdf(Weibull(5.0, 1.0), 2.5)
         assert 0.0 <= err.value.best_estimate <= 1.0
 
