@@ -14,7 +14,7 @@ _EXPORTS = {
     "distributions": ("EPS_SURVIVAL", "Exponential",
                       "ProcessingTimeDistribution", "Uniform", "Weibull",
                       "parse_spec"),
-    "mc": ("DEFAULT_SEED", "RngState", "Theorem1Result", "Trials",
+    "mc": ("DEFAULT_SEED", "Theorem1Result", "Trials",
            "empirical_dependence", "run_theorem1_mc", "sample_iid",
            "simulate_parallel", "simulate_serial"),
     "numerics": ("classify_sign", "convolve_cdf"),
@@ -31,7 +31,7 @@ _EXPORTS = {
                "marginal_completion_cdf"),
 }
 _SUBMODULES = frozenset({"cli", "distributions", "errors", "mc", "numerics",
-                         "parallel", "recall", "serial", "traces", "verify"})
+                         "parallel", "recall", "serial", "verify"})
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"

@@ -17,6 +17,7 @@ import math
 import os
 import stat
 import sys
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 # numpy's OpenBLAS starts a worker thread at import, whose spin slows
@@ -29,8 +30,9 @@ import numpy as np
 
 from .distributions import (ProcessingTimeDistribution, Uniform,
                             Weibull, parse_spec)
-from .errors import ArchlabError, DistSpecError, GridEvalError, UsageError
-from .numerics import convolve_cdf, fmt17, write_table
+from .errors import (ArchlabError, ConditioningError, DistSpecError,
+                     GridEvalError, UsageError)
+from .numerics import _write_chunks, convolve_cdf, fmt17
 
 # Each command imports the modules it runs (serial, parallel, mc, recall,
 # verify) in its handler, so start-up compiles only what the command uses.
@@ -166,11 +168,11 @@ def _flags_of(args, name: str) -> dict:
     return par
 
 
-def _write_table(args, result, **head) -> int:
-    """Stream a result's ``table()`` as CSV, or as JSON objects keyed by its
-    ``columns`` (after the ``head`` entries)."""
-    write_table(_open_out(args.out), result.columns, result.table(),
-                None if args.format == "csv" else head)
+def _write_table(args, names: Sequence[str], chunks, **head) -> int:
+    """Stream a table's chunks of columns as CSV, or as JSON objects keyed
+    by the column ``names`` (after the ``head`` entries)."""
+    _write_chunks(_open_out(args.out), names, chunks,
+                  None if args.format == "csv" else head)
     return 0
 
 
@@ -280,9 +282,7 @@ def _cmd_figure(args) -> int:
             dist, hi = Uniform(par["v"]), 1.0
         stage = _stage_grid(dist, dist.spec_string(), steps, (0.0, hi), (0.0, hi))
         cols = (stage.t, stage.ta, stage.expr4)
-    write_table(_open_out(args.out), ("axis1", "axis2", "value"), cols,
-                None if args.format == "csv" else {"figure": args.id})
-    return 0
+    return _write_table(args, ("axis1", "axis2", "value"), [cols], figure=args.id)
 
 
 def _cmd_theorem1(args) -> int:
@@ -303,7 +303,17 @@ def _cmd_dependence(args) -> int:
             tau_max = 2.0 * float(dist.quantile(0.999))
         _check_default("tau-max", "2 * quantile(0.999)", args.dist, tau_max)
     taus = _tau_grid(args.tau_min, tau_max, args.steps)
-    return _write_table(args, dependence_profile(model, taus))
+    try:
+        profile = dependence_profile(model, taus)
+    except ConditioningError as exc:
+        # marginal_a never decreases in tau, so the null event is at taus[0]
+        if args.tau_min != 0.0:
+            raise
+        raise UsageError(
+            f"--tau-min: the default grid's first tau, {float(taus[0])!r}, has "
+            f"P(completion of a) = 0 for --dist {args.dist} and --p {args.p!r}; "
+            "pass --tau-min") from exc
+    return _write_table(args, profile.columns, [profile.table()])
 
 
 def _cmd_stage_survival(args) -> int:
@@ -318,7 +328,8 @@ def _cmd_stage_survival(args) -> int:
     ta_max = args.ta_max if args.ta_max is not None else t_max
     t, ta = (args.t_min, t_max), (args.ta_min, ta_max)
     _check_axes(args.steps, t=t, ta=ta)
-    return _write_table(args, _stage_grid(dist, args.dist, args.steps, t, ta))
+    grid = _stage_grid(dist, args.dist, args.steps, t, ta)
+    return _write_table(args, grid.columns, [grid.table()])
 
 
 def _parse_rates(raw: str) -> tuple[float, ...]:
@@ -330,23 +341,28 @@ def _parse_rates(raw: str) -> tuple[float, ...]:
 
 
 def _cmd_simulate(args) -> int:
-    from . import mc, traces
+    from . import mc
 
+    # each architecture's model, trials, sampler and uniforms per trial
     par = _flags_of(args, args.arch)
     if args.arch == "serial":
         from .serial import SerialTwoModel
         model = SerialTwoModel(_parse_dist(par["dist"]), par["p"])
+        trials, sample, draws = mc.Trials, mc._serial, 3
     elif args.arch == "parallel":
         from .parallel import ParallelTwoModel
         model = ParallelTwoModel(_parse_dist(par["dist"]))
+        trials, sample, draws = mc.Trials, mc._parallel, 2
     else:
-        from .recall import RecallModel
-        model = RecallModel(_parse_rates(par["rates"]))
+        from . import recall
+        model = recall.RecallModel(_parse_rates(par["rates"]))
+        trials = recall.RecallTrials
+        sample, draws = ((recall._vu_serial, 2 * model.n)
+                         if args.arch == "recall-serial" else
+                         (recall._parallel_expo, model.n))
     seed = mc.DEFAULT_SEED if args.seed is None else args.seed
-    # traces has one writer per architecture, named after it
-    table = getattr(traces, args.arch.replace("-", "_"))(model, args.n, seed)
-    table.write(_open_out(args.out), None if args.format == "csv" else {})
-    return 0
+    chunks = mc.trace(trials, partial(sample, model), draws, args.n, seed)
+    return _write_table(args, trials.columns, chunks)
 
 
 def _read_times(path: str) -> np.ndarray:

@@ -16,10 +16,11 @@ position between calls, so ``random((m1, d))`` then ``random((m2, d))``
 gives the rows of one ``random((m1 + m2, d))`` draw, bit for bit.  So each
 architecture has one sampler, a pure function of a slice's uniforms (e.g.
 :func:`_serial`); a whole run (:func:`_sample_run`) copies its slices of
-``_SLICE_TRIALS`` trials into arrays of every trial, and the traces of
-:mod:`archlab.traces` write each slice of theirs.  :func:`run_theorem1_mc`
-counts its even and its odd blocks on two threads and adds the integer
-counts, so they do not depend on the schedule either.
+``_SLICE_TRIALS`` trials into arrays of every trial, and a trace
+(:func:`trace`, ``archlab simulate``) yields the table rows of each slice
+of ``_CHUNK_ROWS`` trials.  :func:`run_theorem1_mc` counts its even and its
+odd blocks on two threads and adds the integer counts, so they do not
+depend on the schedule either.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from .errors import ConditioningError, DomainError, McError
+from .numerics import _CHUNK_ROWS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .distributions import ProcessingTimeDistribution
@@ -45,18 +48,6 @@ DEFAULT_SEED = 0x5EED2024
 
 #: Trials per RNG block; fixed by contract, never derived from worker count.
 BLOCK_TRIALS = 1 << 16
-
-
-@dataclass(frozen=True)
-class RngState:
-    """A (seed, stream index) pair naming one reproducible substream."""
-
-    seed: int
-    index: int = 0
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.index,))
-        return np.random.Generator(np.random.Philox(ss))
 
 
 def uniform_blocks(seed: int, n_trials: int, draws_per_trial: int,
@@ -77,7 +68,8 @@ def uniform_blocks(seed: int, n_trials: int, draws_per_trial: int,
     buf = np.empty((step, draws_per_trial))
     for index in range(-(-n_trials // BLOCK_TRIALS))[blocks]:
         start = index * BLOCK_TRIALS
-        gen = RngState(seed, index).generator()
+        gen = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=seed, spawn_key=(index,))))
         stop = min(start + BLOCK_TRIALS, n_trials)
         for lo in range(start, stop, step):
             yield lo, gen.random(out=buf[:min(step, stop - lo)])
@@ -101,6 +93,18 @@ def _sample_run(sample: Callable[[np.ndarray], tuple[np.ndarray, ...]],
         for w, a in zip(whole, part):
             w[start:start + len(a)] = a
     return whole
+
+
+def trace(trials: type, sample: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+          draws_per_trial: int, n_trials: int,
+          seed: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The ``trials(*_sample_run(...)).table()`` of a run in chunks, one per
+    slice of ``_CHUNK_ROWS`` trials, each sampled when it is asked for.
+    The first chunk is sampled before this returns, so that a bad model,
+    size or seed raises before any row can be written."""
+    chunks = (trials(*sample(u)).table(start) for start, u in
+              uniform_blocks(seed, n_trials, draws_per_trial, _CHUNK_ROWS))
+    return chain([next(chunks)], chunks)
 
 
 def sample_iid(dist: "ProcessingTimeDistribution", n_trials: int,

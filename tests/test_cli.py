@@ -286,6 +286,28 @@ class TestDependence:
                               "-1", "--steps", "2"], capsys)
         assert (code, out, err) == (1, "", "--tau-min must be >= 0, got -1.0\n")
 
+    @pytest.mark.parametrize("argv, tau", [
+        (["--dist", "weibull:k=200,u=1"], "0.020194201267360257"),
+        (["--dist", "weibull:k=100,u=1", "--p", "0"], "0.02039028824133273")])
+    def test_null_event_on_the_default_grid_asks_for_tau_min(self, argv, tau,
+                                                             capsys):
+        # F (and, at p = 0, conv) underflows at the first grid point the
+        # default --tau-min chose; a grid that starts past it runs
+        code, out, err = run(["dependence", *argv], capsys)
+        p = "0.0" if "--p" in argv else "0.5"
+        assert (code, out, err) == (
+            1, "", f"--tau-min: the default grid's first tau, {tau}, has "
+                   f"P(completion of a) = 0 for --dist {argv[1]} and --p {p}; "
+                   "pass --tau-min\n")
+        code, out, err = run(["dependence", *argv, "--tau-min", "0.5"], capsys)
+        assert (code, err) == (0, "") and len(out.splitlines()) == 101
+
+    def test_null_event_on_a_chosen_tau_min_is_a_domain_error(self, capsys):
+        code, out, err = run(["dependence", "--dist", "weibull:k=200,u=1",
+                              "--tau-min", "0.02"], capsys)
+        assert (code, out, err) == (2, "", "archlab: conditioning on null event: "
+                                           "P(completion of a by tau=0.02) = 0\n")
+
     @pytest.mark.parametrize("k", ["22", "30", "50", "100", "160"])
     def test_steep_weibull_converges(self, k, capsys):
         # the default grid crosses the narrow peak of f near x = 1
@@ -597,6 +619,24 @@ def test_failing_command_leaves_out_untouched(tmp_path, capsys, monkeypatch):
     assert code == 2 and not new.exists()
 
 
+def test_simulate_samples_its_first_chunk_before_emptying_out(
+        tmp_path, capsys, monkeypatch):
+    # a sampler that fails on the first slice of trials leaves an existing
+    # --out file's bytes as they were, and a file the command made is removed
+    def failing_draw(*args):
+        raise DomainError("first chunk failed")
+
+    monkeypatch.setattr(mc, "_serial", failing_draw)
+    argv = ["simulate", "serial", "--dist", "exp:u=1", "--n", "3000", "--out"]
+    keep, new = tmp_path / "keep.csv", tmp_path / "new.csv"
+    keep.write_bytes(b"earlier,bytes\n1,2\n")
+    for path in (keep, new):
+        assert run([*argv, str(path)], capsys) == (
+            2, "", "archlab: first chunk failed\n")
+    assert keep.read_bytes() == b"earlier,bytes\n1,2\n"
+    assert not new.exists()
+
+
 def test_out_replaces_a_longer_file(tmp_path, capsys):
     argv = ["figure", "fig7", "--steps", "2"]
     code, want, _ = run(argv, capsys)
@@ -827,7 +867,7 @@ print(json.dumps({{"archlab": loaded, "json": had_json}}))
         assert found["json"] == uses_json
 
     SUBMODULES = ("cli", "distributions", "errors", "mc", "numerics",
-                  "parallel", "recall", "serial", "traces", "verify")
+                  "parallel", "recall", "serial", "verify")
 
     def test_package_lists_names_before_loading_them(self):
         found = self._probe(
@@ -850,3 +890,5 @@ print(json.dumps({{"archlab": loaded, "json": had_json}}))
             assert getattr(archlab, module) is sys.modules[f"archlab.{module}"]
         with pytest.raises(AttributeError, match="no attribute 'KERNEL_BACKEND'"):
             archlab.KERNEL_BACKEND
+        with pytest.raises(AttributeError, match="no attribute 'traces'"):
+            archlab.traces  # simulate streams its trials from mc.trace

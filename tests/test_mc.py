@@ -1,32 +1,46 @@
 import math
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from archlab import mc, recall, traces
+from archlab import mc, recall
 from archlab.distributions import Exponential, Uniform, Weibull
 from archlab.errors import ConditioningError, DomainError, McError
-from archlab.numerics import convolve_cdf, write_table
+from archlab.numerics import _CHUNK_ROWS, convolve_cdf, write_table
 from archlab.parallel import ParallelTwoModel
 from archlab.recall import RecallModel
 from archlab.serial import SerialTwoModel, marginal_completion_cdf
+
+
+def _block(seed, index, rows, d):
+    """Block ``index`` of a run as one draw of numpy's Philox, keyed by the
+    contract's ``SeedSequence(entropy=seed, spawn_key=(index,))``."""
+    key = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Generator(np.random.Philox(key)).random((rows, d))
+
+
+def _uniforms(seed, n_trials, rows=mc.BLOCK_TRIALS):
+    """Every uniform of a run of two draws per trial, drawn ``rows`` at a time."""
+    return np.concatenate([u.copy() for _, u in
+                           mc.uniform_blocks(seed, n_trials, 2, rows)])
 
 
 class TestRngContract:
     B = mc.BLOCK_TRIALS
 
     def test_same_state_same_stream(self):
-        a = mc.RngState(123, 4).generator().random(1000)
-        b = mc.RngState(123, 4).generator().random(1000)
-        assert np.array_equal(a, b)
+        assert np.array_equal(_uniforms(123, 2 * self.B, 1000),
+                              _uniforms(123, 2 * self.B, 1000))
 
     def test_different_index_different_stream(self):
-        a = mc.RngState(123, 0).generator().random(1000)
-        b = mc.RngState(123, 1).generator().random(1000)
-        assert not np.array_equal(a, b)
+        # block 1 is not block 0 again, nor block 0 of another seed
+        u = _uniforms(123, 2 * self.B)
+        assert not np.array_equal(u[:self.B], u[self.B:])
+        assert not np.array_equal(u[:self.B], _uniforms(124, self.B))
 
     def test_prefix_stability_across_run_sizes(self):
         # trial i consumes fixed draws regardless of the total trial count
@@ -44,9 +58,8 @@ class TestRngContract:
         # block b is one random((len, d)) draw of the stream (seed, b),
         # however many slices it is drawn in
         d = 3
-        want = np.concatenate([
-            mc.RngState(5, b).generator().random((min(self.B, n - start), d))
-            for b, start in enumerate(range(0, n, self.B))])
+        want = np.concatenate([_block(5, b, min(self.B, n - start), d)
+                               for b, start in enumerate(range(0, n, self.B))])
         got, slices, buffers = np.empty((n, d)), [], set()
         for start, u in mc.uniform_blocks(5, n, d, rows):
             got[start:start + len(u)] = u
@@ -400,36 +413,48 @@ class TestTraceCsv:
                                   for b in trials.order_b_first]
 
 
-class TestTraces:
-    MODELS = {"serial": SerialTwoModel(Exponential(1.0), 0.5),
-              "parallel": ParallelTwoModel(Uniform(2.0)),
-              "recall_serial": RecallModel((1.0, 2.0, 3.0)),
-              "recall_parallel": RecallModel((0.5, 1.0, 2.0, 4.0, 8.0))}
+def trace_of(arch, n_trials, seed):
+    """``mc.trace`` of one architecture, with the trials class, sampler and
+    uniforms per trial that ``archlab simulate`` gives it, and a call that
+    samples the same trials as a whole run."""
+    model, trials, sample, draws, whole = {
+        "serial": (SerialTwoModel(Exponential(1.0), 0.5), mc.Trials,
+                   mc._serial, 3, mc.simulate_serial),
+        "parallel": (ParallelTwoModel(Uniform(2.0)), mc.Trials, mc._parallel, 2,
+                     mc.simulate_parallel),
+        "recall_serial": (RecallModel((1.0, 2.0, 3.0)), recall.RecallTrials,
+                          recall._vu_serial, 6, recall.sample_vu_serial),
+        "recall_parallel": (RecallModel((0.5, 1.0, 2.0, 4.0, 8.0)),
+                            recall.RecallTrials, recall._parallel_expo, 5,
+                            recall.sample_parallel_expo)}[arch]
+    chunks = mc.trace(trials, partial(sample, model), draws, n_trials, seed)
+    return chunks, partial(whole, model, n_trials, seed)
 
-    @pytest.mark.parametrize("arch", MODELS)
+
+class TestTraces:
+    ARCHS = ("serial", "parallel", "recall_serial", "recall_parallel")
+
+    @pytest.mark.parametrize("arch", ARCHS)
     def test_chunks_are_writer_chunks_of_the_whole_table(self, arch):
-        # the chunks handed to the writer hold CHUNK_TRIALS trials each
-        # (the last the rest), and together they are the whole-run table,
-        # trial index included; the writer cuts them to _CHUNK_ROWS rows
+        # the chunks handed to the writer hold _CHUNK_ROWS trials each (the
+        # last the rest), and together they are the whole-run table, trial
+        # index included; the writer cuts them to _CHUNK_ROWS rows
         # (TestWriteTable.test_writer_cuts_every_chunk)
-        whole = {"serial": mc.simulate_serial, "parallel": mc.simulate_parallel,
-                 "recall_serial": recall.sample_vu_serial,
-                 "recall_parallel": recall.sample_parallel_expo}[arch]
-        n = 2 * traces.CHUNK_TRIALS + 3
-        trace = getattr(traces, arch)(self.MODELS[arch], n, 4)
-        chunks = list(trace)
-        table = whole(self.MODELS[arch], n, 4).table()
+        n = 2 * _CHUNK_ROWS + 3
+        chunks, whole = trace_of(arch, n, 4)
+        chunks, trials = list(chunks), whole()
+        table = trials.table()
         rows_per_trial = len(table[0]) // n
         assert [len(c[0]) for c in chunks] == [
-            rows_per_trial * m for m in (traces.CHUNK_TRIALS, traces.CHUNK_TRIALS, 3)]
-        assert trace.columns == whole(self.MODELS[arch], 1, 4).columns
-        for got, want in zip(zip(*chunks), table):
+            rows_per_trial * m for m in (_CHUNK_ROWS, _CHUNK_ROWS, 3)]
+        assert len(chunks[0]) == len(trials.columns)
+        for got, want in zip(zip(*chunks), table, strict=True):
             assert np.array_equal(np.concatenate(got), want)
 
-    @pytest.mark.parametrize("arch", MODELS)
+    @pytest.mark.parametrize("arch", ARCHS)
     def test_first_chunk_is_drawn_when_made(self, arch):
         # so a bad size or seed raises before anything is written
         with pytest.raises(DomainError, match="n_trials must be >= 1"):
-            getattr(traces, arch)(self.MODELS[arch], 0, 4)
+            trace_of(arch, 0, 4)
         with pytest.raises(DomainError, match="seed must be nonnegative"):
-            getattr(traces, arch)(self.MODELS[arch], 5, -1)
+            trace_of(arch, 5, -1)

@@ -452,8 +452,9 @@ class TestWriteTable:
         # the writer formats at most _CHUNK_ROWS rows at a time, whatever
         # the chunks it is handed: a recall trace's chunks of 1024 trials of
         # 5 items, or write_table's one whole-table chunk
-        from archlab import _cells, traces
-        from archlab.recall import RecallModel
+        from functools import partial
+
+        from archlab import _cells, recall
 
         sizes = []
         format_chunk = _cells.Table.format_chunk
@@ -463,9 +464,10 @@ class TestWriteTable:
             return format_chunk(table, cols)
 
         monkeypatch.setattr(_cells.Table, "format_chunk", spy)
-        n = 2 * traces.CHUNK_TRIALS + 3
-        traces.recall_serial(RecallModel((1.0, 2.0, 3.0, 4.0, 5.0)), n,
-                             4).write(io.StringIO(), head)
+        n = 2 * numerics._CHUNK_ROWS + 3
+        model = recall.RecallModel((1.0, 2.0, 3.0, 4.0, 5.0))
+        numerics._write_chunks(io.StringIO(), recall.RecallTrials.columns, mc.trace(
+            recall.RecallTrials, partial(recall._vu_serial, model), 10, n, 4), head)
         assert sum(sizes) == 5 * n and max(sizes) == numerics._CHUNK_ROWS
         sizes.clear()
         rows = 3 * numerics._CHUNK_ROWS + 1
