@@ -73,12 +73,28 @@ class Table:
 
 
 def _labels(col: np.ndarray) -> np.ndarray:
-    """A label column as fixed-width bytes, each distinct label checked."""
+    """A label column as fixed-width bytes, each label checked; an error
+    names the first bad label in row order."""
     if col.dtype.kind != "S":
-        _check_labels(set(col.tolist()))
+        _check_labels(dict.fromkeys(col.tolist()))
         return col.astype("S")
-    _check_labels(np.unique(col).tolist())
+    size = col.itemsize
+    b = np.ascontiguousarray(col).view(_U8)
+    bad = ~_LABEL_BYTES.take(b)
+    nul = b == 0
+    late = nul[:-1] > nul[1:]  # a NUL before a byte that is not NUL ...
+    late[size - 1::size] = False  # ... of the same label
+    bad[1:] |= late
+    if bad.any():
+        _check_labels([col[bad.argmax() // size]])
     return col
+
+
+# the bytes a label may hold: printable ASCII other than ',', '"' and '\',
+# and NUL, which numpy pads a shorter label with
+_LABEL_BYTES = np.zeros(256, dtype=bool)
+_LABEL_BYTES[[0, *range(0x20, 0x7F)]] = True
+_LABEL_BYTES[list(b',"\\')] = False
 
 
 def _check_labels(values) -> None:

@@ -805,9 +805,9 @@ class TestStartup:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout
 
-    # Prints, last, the archlab submodules and whether json is loaded after
-    # the body runs in a fresh interpreter; argv[1] is src/, argv[2:] the
-    # arguments for the body.
+    # Prints, last, the archlab submodules and whether json and numpy.ma are
+    # loaded after the body runs in a fresh interpreter; argv[1] is src/,
+    # argv[2:] the arguments for the body.
     PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -815,8 +815,9 @@ sys.path.insert(0, sys.argv[1])
 loaded = sorted(m[len("archlab."):] for m in sys.modules
                 if m.startswith("archlab."))
 had_json = "json" in sys.modules
+had_ma = "numpy.ma" in sys.modules
 import json
-print(json.dumps({{"archlab": loaded, "json": had_json}}))
+print(json.dumps({{"archlab": loaded, "json": had_json, "numpy.ma": had_ma}}))
 """
 
     def _probe(self, body: str, *args: str) -> dict:
@@ -827,12 +828,13 @@ print(json.dumps({{"archlab": loaded, "json": had_json}}))
         return json.loads(done.stdout.splitlines()[-1])
 
     def test_bare_import_loads_no_submodule(self):
-        assert self._probe("import archlab") == {"archlab": [], "json": False}
+        assert self._probe("import archlab") == {"archlab": [], "json": False,
+                                                 "numpy.ma": False}
 
     def test_cli_import_loads_only_parsing_modules(self):
         assert self._probe("import archlab.cli") == {
             "archlab": ["cli", "distributions", "errors", "numerics"],
-            "json": False}
+            "json": False, "numpy.ma": False}
 
     # (argv, the command modules it loads, whether it loads json)
     COMMANDS = [
@@ -865,6 +867,8 @@ print(json.dumps({{"archlab": loaded, "json": had_json}}))
         command_modules = {"mc", "recall", "serial", "parallel", "verify"}
         assert sorted(command_modules.intersection(found["archlab"])) == modules
         assert found["json"] == uses_json
+        # numpy.ma costs about 12 ms and 1.3 MB of start-up; np.unique loads it
+        assert not found["numpy.ma"]
 
     SUBMODULES = ("cli", "distributions", "errors", "mc", "numerics",
                   "parallel", "recall", "serial", "verify")

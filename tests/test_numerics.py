@@ -1,7 +1,11 @@
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,7 +391,7 @@ class TestWriteTable:
         self.assert_exact(x[:1], labels[:1], np.arange(1))
 
     @pytest.mark.parametrize("label", ["é", "a,b", 'say "x"', "a\\b", "a\rb",
-                                       "a\nb", "tab\t", "a\x00b"])
+                                       "a\nb", "tab\t", "a\x00b", "\x00a", "a\x7f"])
     def test_labels_that_cannot_be_written_verbatim(self, label):
         for col in (np.array(["ok", label], dtype=object), np.array(["ok", label]),
                     np.array([b"ok", label.encode()]),
@@ -400,15 +404,39 @@ class TestWriteTable:
 
     @pytest.mark.parametrize("dtype", [object, "U", "S"])
     def test_label_columns_of_any_dtype(self, dtype):
-        labels = np.array(self.LABELS, dtype=dtype)
-        cols = (np.array(self.FLOATS), np.array(self.INTS), labels)
+        # the last four are the edges of what a label may hold
+        text = self.LABELS[:6] + ["", " ", "~", "it's"]
+        labels = np.array(text, dtype=dtype)
+        want = (np.array(self.FLOATS), np.array(self.INTS),
+                np.array(text, dtype=object))
+        cols = (*want[:2], labels)
         for head in (None, {}):
             assert self.written(self.NAMES, cols, head) == \
-                self.reference(self.NAMES, self.cols(), head)
+                self.reference(self.NAMES, want, head)
         strided = labels.repeat(2)[1::2]
         assert not strided.flags.contiguous
         assert self.written(("label",), (strided,)) == \
-            self.written(("label",), (self.cols()[2],))
+            self.written(("label",), (want[2],))
+
+    def test_bad_label_named_in_row_order(self):
+        # a set of the labels would be walked in hash order, which
+        # PYTHONHASHSEED changes from run to run
+        code = ("import io, sys; sys.path.insert(0, sys.argv[1]); "
+                "import numpy as np; from archlab.numerics import write_table\n"
+                "labels = ['ok', 'x,1', 'y,2', 'z,3', 'w,4']\n"
+                "for dtype in (object, 'U', 'S'):\n"
+                "    try:\n"
+                "        write_table(io.StringIO(), ('label',), "
+                "(np.array(labels, dtype=dtype),))\n"
+                "    except ValueError as e:\n"
+                "        print(e)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        for seed in ("1", "2", "3"):
+            done = subprocess.run(
+                [sys.executable, "-c", code, str(src)], capture_output=True,
+                text=True, check=True, env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert [line.split(":")[0] for line in done.stdout.splitlines()] == \
+                ["cannot write the label 'x,1'"] * 3
 
     @pytest.mark.parametrize("dtype", ["S7", "S12", object])
     def test_bad_label_in_a_later_chunk(self, dtype):

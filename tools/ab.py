@@ -13,11 +13,22 @@ checkout's path alone moves ``peak_rss_mb``.  Each pair runs
 first in even pairs and the new side first in odd ones, then
 ``tools/two_loop.py`` to name the host state.
 
-It prints every pair's end-to-end metrics, then, for each workload and
-each ``end_to_end`` metric of ``BENCHMARK.json``, both medians, the
-change's wins (pairs where the new side is better) and each side's count
-of correct runs and of failed commands.  It uses the standard library
-only, and writes nothing into either checkout but what run.py writes.
+It prints every pair's end-to-end metrics, then, for each workload, each
+side's count of correct runs and of failed commands and, for each
+``end_to_end`` metric of ``BENCHMARK.json``, both medians, both sides'
+quartiles, the change's wins (pairs where the new side is better) and a
+verdict:
+
+- ``claim holds``: the new side wins at least 9/10 of the pairs and the
+  medians differ by more than the old side's interquartile range (IQR);
+- ``worse``: the new median is worse than the old by more than the
+  metric's bound;
+- ``unresolved``: either side's IQR is wider than the bound and not every
+  new run beats every old run;
+- ``within bound`` otherwise.
+
+It uses the standard library only, and writes nothing into either
+checkout but what run.py writes.
 """
 
 from __future__ import annotations
@@ -109,7 +120,7 @@ def compare(args, metrics: list, dirs: dict) -> int:
             capture_output=True, text=True).stdout.strip()
         print(f"pair {pair} two-loop: {two_loop}", flush=True)
     print(f"# {args.pairs} pairs, seed {args.seed}; medians, new minus old, "
-          "and the pairs where new is better")
+          "quartiles, the pairs where new is better and the verdict")
     for workload in runs["old"][0]:
         for side in SIDES:
             results = [r[workload] for r in runs[side]]
@@ -123,10 +134,37 @@ def compare(args, metrics: list, dirs: dict) -> int:
                         for side in SIDES)
             wins = sum(sign * (n - o) < 0 for o, n in zip(old, new))
             mo, mn = statistics.median(old), statistics.median(new)
+            qo, qn = quartiles(old), quartiles(new)
             print(f"{workload} {name}: old {mo:.4g} new {mn:.4g} "
                   f"diff {mn - mo:+.4g} {m['unit']} (bound {m['bound']}), "
-                  f"new better in {wins}/{len(old)}")
+                  f"quartiles old {qo[0]:.4g}-{qo[1]:.4g} "
+                  f"new {qn[0]:.4g}-{qn[1]:.4g}, new better in "
+                  f"{wins}/{len(old)}: "
+                  f"{verdict(old, new, wins, sign, m['bound'])}")
     return 0
+
+
+def quartiles(values: list) -> tuple:
+    """The lower and upper quartiles, interpolated between runs."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def verdict(old: list, new: list, wins: int, sign: int, bound: float) -> str:
+    """The rule of the module docstring; ``sign`` is 1 when lower is
+    better, -1 when higher is."""
+    gain = sign * (statistics.median(old) - statistics.median(new))
+    iqr = [q3 - q1 for q1, q3 in (quartiles(old), quartiles(new))]
+    if -gain > bound:
+        return "worse"
+    if 10 * wins >= 9 * len(old) and gain > iqr[0]:
+        return "claim holds"
+    every_run_better = max(sign * v for v in new) < min(sign * v for v in old)
+    if max(iqr) > bound and not every_run_better:
+        return "unresolved"
+    return "within bound"
 
 
 if __name__ == "__main__":
